@@ -8,22 +8,6 @@
 namespace prefixfilter::net {
 namespace {
 
-// Reflected CRC-32 table, built once (thread-safe since C++11 magic statics).
-const uint32_t* Crc32Table() {
-  static const auto table = [] {
-    static uint32_t t[256];
-    for (uint32_t i = 0; i < 256; ++i) {
-      uint32_t c = i;
-      for (int k = 0; k < 8; ++k) {
-        c = (c & 1) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
-      }
-      t[i] = c;
-    }
-    return t;
-  }();
-  return table;
-}
-
 void PutU16(uint8_t* p, uint16_t v) { std::memcpy(p, &v, sizeof(v)); }
 void PutU32(uint8_t* p, uint32_t v) { std::memcpy(p, &v, sizeof(v)); }
 void PutU64(uint8_t* p, uint64_t v) { std::memcpy(p, &v, sizeof(v)); }
@@ -55,16 +39,6 @@ bool IsKnownOpcode(uint8_t raw) {
       return true;
   }
   return false;
-}
-
-uint32_t Crc32(const void* data, size_t len) {
-  const uint32_t* table = Crc32Table();
-  const uint8_t* p = static_cast<const uint8_t*>(data);
-  uint32_t crc = 0xFFFFFFFFu;
-  for (size_t i = 0; i < len; ++i) {
-    crc = table[(crc ^ p[i]) & 0xFF] ^ (crc >> 8);
-  }
-  return crc ^ 0xFFFFFFFFu;
 }
 
 void AppendFrame(Opcode opcode, uint16_t flags, uint64_t request_id,

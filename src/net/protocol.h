@@ -79,6 +79,7 @@
 
 #include "src/obs/metrics.h"
 #include "src/obs/trace.h"
+#include "src/util/crc32.h"
 
 namespace prefixfilter::net {
 
@@ -115,8 +116,13 @@ enum class ErrorCode : uint32_t {
   kInternal = 3,     // server-side failure (e.g. snapshot serialization)
 };
 
-// CRC-32 (IEEE 802.3, reflected, poly 0xEDB88320) over `len` bytes.
-uint32_t Crc32(const void* data, size_t len);
+// CRC-32 (IEEE 802.3, reflected, poly 0xEDB88320) over `len` bytes:
+// uint32_t Crc32(const void* data, size_t len), from src/util/crc32.h.
+// PF_NATIVE=ON builds on PCLMUL+SSE4.1 hosts fold with carry-less multiplies;
+// every other build uses slice-by-8 tables.  Both write the same checksum
+// bytes, so frames from any build decode on any other and the wire format
+// is unchanged by the kernel choice (tests/protocol_test.cc pins values).
+using prefixfilter::Crc32;
 
 struct Frame {
   uint8_t opcode = 0;

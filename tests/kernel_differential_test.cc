@@ -5,7 +5,8 @@
 // generalized over the factory: every parity property runs for FMB32, FMB64,
 // BBF, and BBF-Flex through one type-erased test wrapper, and the PD256/512
 // SIMD path (the FindByteMask broadcast-compare kernel) is differenced
-// against its scalar reference directly.
+// against its scalar reference directly, as are both wire CRC-32 kernels
+// (PCLMUL folding and slice-by-8) against a bit-at-a-time CRC.
 //
 // On portable builds the dispatched kernels ARE the portable kernels, so
 // the SIMD-vs-portable legs degenerate to self-consistency — while the
@@ -28,6 +29,7 @@
 #include "src/filters/blocked_bloom.h"
 #include "src/filters/fast_multiblock.h"
 #include "src/util/aligned.h"
+#include "src/util/crc32.h"
 #include "src/util/random.h"
 #include "src/util/simd.h"
 
@@ -375,6 +377,64 @@ TEST(KernelGoldenDigest, SerializedBytesAndAnswerStreamMatchGolden) {
     EXPECT_EQ(digest, golden.digest)
         << golden.name << ": actual digest 0x" << std::hex << digest
         << " — serialized bytes or answer stream changed across builds";
+  }
+}
+
+// --- wire CRC-32 -------------------------------------------------------------
+
+// Bit-at-a-time CRC-32 (reflected 0xEDB88320), the reference both kernels
+// are held to: advances the pre-inverted state `crc` over `len` bytes.
+uint32_t Crc32BitwiseUpdate(uint32_t crc, const uint8_t* p, size_t len) {
+  for (size_t i = 0; i < len; ++i) {
+    crc ^= p[i];
+    for (int bit = 0; bit < 8; ++bit) {
+      crc = (crc >> 1) ^ (0xEDB88320u & (0u - (crc & 1u)));
+    }
+  }
+  return crc;
+}
+
+std::vector<uint8_t> CrcInput(size_t len, uint64_t seed) {
+  Xoshiro256 rng(seed);
+  std::vector<uint8_t> bytes(len);
+  for (auto& b : bytes) b = static_cast<uint8_t>(rng.Next());
+  return bytes;
+}
+
+// Every length across the portable-only (< 64), folding (>= 64) and tail
+// (len % 16 != 0) ranges, at every 16-byte misalignment.  Each input sits in
+// its own exact-size allocation, so ASan catches a load past the last byte.
+TEST(Crc32Parity, DispatchedAndPortableMatchBitwiseAtEveryLengthAndAlignment) {
+  constexpr size_t kMaxLen = 4200;
+  const std::vector<uint8_t> input = CrcInput(kMaxLen, 0xc3c32);
+  std::vector<uint32_t> want(kMaxLen + 1);
+  uint32_t state = 0xFFFFFFFFu;
+  for (size_t len = 0; len <= kMaxLen; ++len) {
+    want[len] = ~state;
+    if (len < kMaxLen) state = Crc32BitwiseUpdate(state, &input[len], 1);
+  }
+  for (size_t align = 0; align < 16; ++align) {
+    for (size_t len = 0; len <= kMaxLen; ++len) {
+      const auto buf = std::make_unique<uint8_t[]>(align + len);
+      uint8_t* data = buf.get() + align;
+      if (len != 0) std::memcpy(data, input.data(), len);
+      ASSERT_EQ(Crc32(data, len), want[len])
+          << "dispatched kernel, len=" << len << " align=" << align;
+      ASSERT_EQ(Crc32Portable(data, len), want[len])
+          << "portable kernel, len=" << len << " align=" << align;
+    }
+  }
+}
+
+// Full-frame sizes: a 4096-key QUERY_BATCH payload (4 + 8 * 4096 bytes) and
+// a 32768-key one, large enough for many 64-byte fold rounds.
+TEST(Crc32Parity, DispatchedAndPortableMatchBitwiseOnFrameSizedInputs) {
+  for (const size_t len : {size_t{32772}, size_t{262148}}) {
+    const std::vector<uint8_t> input = CrcInput(len, len);
+    const uint32_t want =
+        ~Crc32BitwiseUpdate(0xFFFFFFFFu, input.data(), input.size());
+    EXPECT_EQ(Crc32(input.data(), len), want) << "len=" << len;
+    EXPECT_EQ(Crc32Portable(input.data(), len), want) << "len=" << len;
   }
 }
 

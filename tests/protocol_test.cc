@@ -43,6 +43,42 @@ TEST(Protocol, Crc32KnownVector) {
   EXPECT_EQ(Crc32(nullptr, 0), 0u);
 }
 
+// Pinned checksums for inputs long enough to reach the folding kernel, taken
+// from the byte-at-a-time CRC this codec shipped with (zlib.crc32 agrees).
+// A kernel that is wrong the same way on both ends would pass every
+// round-trip test; this one would not.
+TEST(Protocol, Crc32GoldenValuesPastTheFoldingThreshold) {
+  struct Golden {
+    size_t len;
+    uint32_t crc;
+  };
+  constexpr Golden kGolden[] = {{63, 0x337301c0u},
+                                {64, 0x38e4dbb5u},
+                                {65, 0x6c311b46u},
+                                {4100, 0xa96c69cbu},
+                                {32772, 0xfae85cc0u}};
+  std::vector<uint8_t> bytes(32772);
+  for (size_t i = 0; i < bytes.size(); ++i) {
+    bytes[i] = static_cast<uint8_t>((i * 131 + 7) & 0xff);
+  }
+  for (const Golden& g : kGolden) {
+    EXPECT_EQ(Crc32(bytes.data(), g.len), g.crc) << "len=" << g.len;
+  }
+
+  // The checksum field of one full 4096-key QUERY_BATCH request frame.
+  std::vector<uint64_t> keys(4096);
+  for (size_t i = 0; i < keys.size(); ++i) {
+    keys[i] = i * 0x9E3779B97F4A7C15ull + 1;
+  }
+  std::vector<uint8_t> frame;
+  EncodeKeyBatchRequest(Opcode::kQueryBatch, 7, keys.data(), keys.size(),
+                        &frame);
+  ASSERT_EQ(frame.size(), kFrameHeaderBytes + 4 + 8 * keys.size());
+  uint32_t checksum = 0;
+  std::memcpy(&checksum, frame.data() + 20, sizeof(checksum));
+  EXPECT_EQ(checksum, 0x7b54d821u);
+}
+
 TEST(Protocol, KeyBatchRoundTripsUnderAnyFragmentation) {
   const std::vector<uint64_t> keys = RandomKeys(1000, 7);
   std::vector<uint8_t> bytes;
