@@ -213,7 +213,8 @@ int Demo() {
     return 1;
   }
   FilterService revived(restored, FilterServiceOptions{});
-  const auto answers2 = revived.QueryBatch(probe).get();
+  std::vector<uint8_t> answers2(probe.size());
+  revived.QueryBatchSync(probe.data(), probe.size(), answers2.data());
   uint64_t disagreements = 0;
   for (size_t i = 0; i < answers.size(); ++i) {
     disagreements += answers[i] != answers2[i];

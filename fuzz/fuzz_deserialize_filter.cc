@@ -1,5 +1,5 @@
 // Fuzz target: DeserializeFilter over the AnyFilter envelope — the PFAE
-// snapshot surface every factory backend (all 11 concrete families plus
+// snapshot surface every factory backend (each concrete family plus
 // SHARD<n>[...] composites) restores through.
 //
 // Any input must either be rejected (nullptr) or produce a fully working

@@ -21,9 +21,10 @@ void Table::Flush() {
     std::vector<uint64_t> keys;
     keys.reserve(entries.size());
     for (const auto& [key, value] : entries) keys.push_back(key);
-    const uint64_t failures =
-        options_.filter_service->InsertBatch(std::move(keys)).get();
-    if (failures != 0) service_filter_ok_ = false;
+    if (options_.filter_service->InsertBatchSync(keys.data(), keys.size()) !=
+        0) {
+      service_filter_ok_ = false;
+    }
   }
   runs_.push_back(std::make_unique<Run>(std::move(entries),
                                         options_.filter_name,
@@ -76,7 +77,9 @@ std::vector<std::optional<uint64_t>> Table::MultiGet(
   std::vector<std::optional<uint64_t>> results(keys.size());
   std::vector<uint8_t> maybe_present;
   if (ServiceGateUsable() && !runs_.empty()) {
-    maybe_present = options_.filter_service->QueryBatch(keys).get();
+    maybe_present.resize(keys.size());
+    options_.filter_service->QueryBatchSync(keys.data(), keys.size(),
+                                            maybe_present.data());
   }
   for (size_t i = 0; i < keys.size(); ++i) {
     if (const auto it = memtable_.find(keys[i]); it != memtable_.end()) {

@@ -30,7 +30,7 @@ struct TableOptions {
   // are batch-inserted into the service's sharded filter, and Get consults
   // it as a table-level gate before probing any run (one sharded-filter
   // query saves a whole newest-to-oldest run walk for absent keys), while
-  // MultiGet batches the gate through the service queue.  The service's
+  // MultiGet batches the gate into one QueryBatchSync call.  The service's
   // filter must be provisioned for the table's total key volume (duplicate
   // Puts of a key across memtables re-insert it); if it ever fails to absorb
   // a key the table stops consulting it — correctness (no lost keys) is
@@ -48,7 +48,7 @@ class Table {
 
   // Batched point lookups (results positionally parallel to `keys`).  With a
   // filter_service configured, the table-level gate for the whole batch is
-  // one QueryBatch round-trip through the service's shard-routing path.
+  // one QueryBatchSync call through the service's shard-routing path.
   std::vector<std::optional<uint64_t>> MultiGet(
       const std::vector<uint64_t>& keys) const;
 

@@ -897,6 +897,12 @@ void MembershipServer::FlushQueries(
     }
   }
 
+  Completion comp;
+  comp.conn_id = conn.id;
+  comp.requests = std::move(*pending);
+  pending->clear();
+  comp.submit_ns = obs::NowNanos();
+  comp.trace = batch_trace;
   if (offload_enabled_) {
     // Decode/filter decoupling: hand the merged batch to the FilterService
     // worker pool and keep the loop decoding.  The completion callback runs
@@ -904,13 +910,8 @@ void MembershipServer::FlushQueries(
     // loop's wakeup pipe; all connection state stays loop-thread-only.
     batches_offloaded_.fetch_add(1, std::memory_order_relaxed);
     conn.inflight += 1;
-    Completion comp;
-    comp.conn_id = conn.id;
     comp.seq = conn.next_seq++;
     conn.inflight_seqs.push_back(comp.seq);
-    comp.requests = std::move(*pending);
-    comp.submit_ns = obs::NowNanos();
-    comp.trace = batch_trace;
     Loop* owner = &loop;  // stable: loops_ holds unique_ptrs for our life
     const int wake_fd = loop.wake_write_fd;
     service_->QueryBatchAsync(
@@ -932,37 +933,44 @@ void MembershipServer::FlushQueries(
         },
         std::move(batch_trace));
     pending_keys->clear();
-    pending->clear();
     return;
   }
 
-  // Synchronous path (no worker pool): execute on the loop thread and emit
-  // one response per original frame, in request order.  One latency sample
-  // per merged batch: the whole decode-to-encode window every frame in the
-  // pipeline run shares.
-  const uint64_t sync_start_ns = obs::NowNanos();
-  std::vector<uint8_t> results(pending_keys->size());
+  // Synchronous path (no worker pool): execute on the loop thread and answer
+  // at once, so responses leave in request order.
+  comp.results.resize(pending_keys->size());
   service_->QueryBatchSync(pending_keys->data(), pending_keys->size(),
-                           results.data(), batch_trace.get());
-  frames_sent_.fetch_add(pending->size(), std::memory_order_relaxed);
-  const uint64_t write_start_ns = obs::NowNanos();
+                           comp.results.data(), batch_trace.get());
+  pending_keys->clear();
+  EncodeQueryResponses(conn, comp, obs::NowNanos());
+}
+
+void MembershipServer::EncodeQueryResponses(Connection& conn,
+                                            const Completion& comp,
+                                            uint64_t write_start_ns) {
+  // One latency sample per merged batch: the submit-to-answer window every
+  // frame in the pipeline run shares.
+  if (comp.submit_ns != 0) {
+    const uint64_t request_ns = write_start_ns - comp.submit_ns;
+    if (comp.trace != nullptr) {
+      query_request_hist_->RecordWithExemplar(request_ns,
+                                              comp.trace->t.trace_id);
+    } else {
+      query_request_hist_->Record(request_ns);
+    }
+  }
   size_t offset = 0;
-  for (const auto& [request_id, count] : *pending) {
-    EncodeQueryResponse(request_id, results.data() + offset, count,
+  for (const auto& [request_id, count] : comp.requests) {
+    EncodeQueryResponse(request_id, comp.results.data() + offset, count,
                         &conn.outbox);
     offset += count;
   }
-  if (batch_trace != nullptr) {
-    batch_trace->AddSpan(obs::TraceStage::kWrite, write_start_ns,
-                         obs::NowNanos());
-    FinishTrace(*batch_trace);
-    query_request_hist_->RecordWithExemplar(obs::NowNanos() - sync_start_ns,
-                                            batch_trace->t.trace_id);
-  } else {
-    query_request_hist_->Record(obs::NowNanos() - sync_start_ns);
+  frames_sent_.fetch_add(comp.requests.size(), std::memory_order_relaxed);
+  if (comp.trace != nullptr) {
+    comp.trace->AddSpan(obs::TraceStage::kWrite, write_start_ns,
+                        obs::NowNanos());
+    FinishTrace(*comp.trace);
   }
-  pending_keys->clear();
-  pending->clear();
 }
 
 void MembershipServer::DrainCompletions(Loop& loop) {
@@ -1003,27 +1011,7 @@ void MembershipServer::DrainCompletions(Loop& loop) {
       comp.trace->AddSpan(obs::TraceStage::kCompletion, comp.done_ns,
                           drained_ns);
     }
-    if (comp.submit_ns != 0) {
-      const uint64_t request_ns = drained_ns - comp.submit_ns;
-      if (comp.trace != nullptr) {
-        query_request_hist_->RecordWithExemplar(request_ns,
-                                                comp.trace->t.trace_id);
-      } else {
-        query_request_hist_->Record(request_ns);
-      }
-    }
-    size_t offset = 0;
-    for (const auto& [request_id, count] : comp.requests) {
-      EncodeQueryResponse(request_id, comp.results.data() + offset, count,
-                          &conn.outbox);
-      offset += count;
-    }
-    frames_sent_.fetch_add(comp.requests.size(), std::memory_order_relaxed);
-    if (comp.trace != nullptr) {
-      comp.trace->AddSpan(obs::TraceStage::kWrite, drained_ns,
-                          obs::NowNanos());
-      FinishTrace(*comp.trace);
-    }
+    EncodeQueryResponses(conn, comp, drained_ns);
 
     bool alive;
     if (conn.read_parked &&

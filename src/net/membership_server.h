@@ -28,8 +28,10 @@
 // offloaded batches in flight (ServerOptions::max_inflight_batches) parks
 // the connection's read interest when reached, so one firehose client gets
 // TCP backpressure instead of unbounded server memory.  Without workers the
-// loop serves batches synchronously via QueryBatchSync, responses in request
-// order, exactly as before.
+// loop fills each batch synchronously via QueryBatchSync and answers it at
+// once, responses in request order.  Both paths carry the batch as a
+// Completion and encode its responses, latency sample and trace through one
+// function (EncodeQueryResponses).
 //
 // Lifecycle: Start() binds/listens (port 0 = kernel-assigned, see port()),
 // spawns the loop threads; Stop() wakes every loop through its wakeup pipe,
@@ -215,8 +217,9 @@ class MembershipServer {
     std::vector<uint8_t> http_in;  // unparsed HTTP request bytes
   };
 
-  // A merged query batch completed by the worker pool, queued back to the
-  // owning loop (see FlushQueries / DrainCompletions).
+  // A merged query batch (see FlushQueries).  Offloaded, a worker fills
+  // `results` and queues the Completion back to the owning loop
+  // (DrainCompletions); inline, the loop thread fills it and answers at once.
   struct Completion {
     uint64_t conn_id = 0;
     uint64_t seq = 0;
@@ -276,22 +279,29 @@ class MembershipServer {
                    std::vector<std::pair<uint64_t, uint32_t>>* pending_queries,
                    std::shared_ptr<obs::ActiveTrace>* pending_trace,
                    uint64_t serve_start_ns);
-  // Runs the accumulated pipelined query keys as one merged batch: offloads
-  // to the worker pool when configured (responses emitted on completion),
-  // else executes inline and emits one response frame per original request.
+  // Seals the accumulated pipelined query keys into one merged batch (a
+  // Completion): offloads it to the worker pool when configured (responses
+  // emitted when DrainCompletions picks it up), else fills it with
+  // QueryBatchSync on the loop thread and answers it immediately.
   // *pending_trace (when non-null) rides with the batch and is consumed.
   void FlushQueries(Loop& loop, Connection& conn,
                     std::vector<uint64_t>* pending_keys,
                     std::vector<std::pair<uint64_t, uint32_t>>* pending,
                     std::shared_ptr<obs::ActiveTrace>* pending_trace,
                     uint64_t serve_start_ns);
+  // The one query-response path: appends one response frame per original
+  // request of `comp` to conn.outbox, counts them, records the request
+  // latency (submit to `write_start_ns`) and the write span, and finishes
+  // the trace.  Never flushes, serves or closes the connection.
+  void EncodeQueryResponses(Connection& conn, const Completion& comp,
+                            uint64_t write_start_ns);
   // Stamps end_ns, applies the slow-threshold tail check, and retains the
   // trace in the sink when it is sampled or slow.
   void FinishTrace(obs::ActiveTrace& trace);
   // Loop-thread-only xorshift64 step (head sampling, trace-id generation).
   static uint64_t LoopRandom(Loop& loop);
-  // Emits responses for every queued completion on this loop; unparks and
-  // re-serves connections that were capped.
+  // Emits responses for every offloaded completion queued on this loop;
+  // unparks and re-serves connections that were capped.
   void DrainCompletions(Loop& loop);
   // Attempts a non-blocking drain of conn.outbox; updates poller interest.
   bool FlushOutbox(Loop& loop, Connection& conn);

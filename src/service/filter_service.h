@@ -1,29 +1,31 @@
 // Thread-pool front-end over a ShardedFilter: the membership service the
 // ROADMAP's north star asks for (many clients, batched traffic, async).
 //
-// Clients submit whole batches (the unit the paper's evaluation §7.3 uses)
-// and receive std::futures; a fixed pool of workers drains an MPMC request
-// queue, executing each batch through a per-worker BatchRouter so every
-// batch pays one lock acquisition per touched shard and rides the
-// prefetching ContainsBatch path inside each shard.
+// Clients submit whole batches (the unit the paper's evaluation §7.3 uses).
+// Inserts run synchronously on the caller's thread (InsertBatchSync); queries
+// either run synchronously too (QueryBatchSync) or are queued with a
+// completion callback (QueryBatchAsync) for a fixed pool of workers draining
+// an MPMC request queue.  Either way each batch goes through a per-thread
+// BatchRouter, so it pays one lock acquisition per touched shard and rides
+// the prefetching ContainsBatch path inside each shard.
 //
 // Backpressure: the queue is bounded (options.max_pending); submitters block
 // until a worker frees a slot, so a burst of clients cannot grow the queue
-// without bound.  num_threads == 0 configures a synchronous service (batches
-// execute on the submitting thread) — useful for tests and single-core
-// deployments.
+// without bound.  num_threads == 0 configures a synchronous service (queued
+// batches execute on the submitting thread) — useful for tests and
+// single-core deployments.
 //
-// Snapshot/restore: Snapshot() drains in-flight work and serializes the
-// whole sharded filter through the AnyFilter envelope (ByteWriter wire
-// format); Restore() is the inverse.  The snapshot is a plain byte vector:
-// persist it next to your data like an LSM run's filter block (§1).
+// Snapshot/restore: Snapshot() serializes the whole sharded filter through
+// the AnyFilter envelope (ByteWriter wire format); Restore() is the inverse.
+// The snapshot is a plain byte vector: persist it next to your data like an
+// LSM run's filter block (§1).
 #ifndef PREFIXFILTER_SRC_SERVICE_FILTER_SERVICE_H_
 #define PREFIXFILTER_SRC_SERVICE_FILTER_SERVICE_H_
 
 #include <atomic>
 #include <cstdint>
 #include <deque>
-#include <future>
+#include <functional>
 #include <memory>
 #include <thread>
 #include <vector>
@@ -76,14 +78,6 @@ class FilterService {
   FilterService(const FilterService&) = delete;
   FilterService& operator=(const FilterService&) = delete;
 
-  // Enqueues a batch insertion; the future yields the number of keys the
-  // filter failed to absorb (0 on full success).
-  std::future<uint64_t> InsertBatch(std::vector<uint64_t> keys);
-
-  // Enqueues a batch query; the future yields one 0/1 byte per key, in the
-  // order submitted.
-  std::future<std::vector<uint8_t>> QueryBatch(std::vector<uint64_t> keys);
-
   // Completion callback for QueryBatchAsync: one 0/1 byte per key, in the
   // order submitted.  Invoked exactly once, on the worker thread that
   // executed the batch (or inline on the submitting thread when the service
@@ -91,10 +85,9 @@ class FilterService {
   // network event loop hands completions back to itself through a wakeup fd.
   using QueryCallback = std::function<void(std::vector<uint8_t> results)>;
 
-  // Callback flavor of QueryBatch: rides the same bounded queue and worker
-  // pool, but delivers results without a future/promise rendezvous, so a
-  // submitter that must not block (an event loop) can decouple decode from
-  // filter execution.  Backpressure is unchanged — submission still blocks
+  // Queues a batch query for the worker pool and returns; `done` receives the
+  // results.  A submitter that must not block on the filter (an event loop)
+  // thereby decouples decode from filter execution.  Submission still blocks
   // while the queue is at max_pending (callers wanting a hard non-blocking
   // guarantee must cap their own in-flight count below max_pending).
   // A non-null `trace` rides along: the worker records queue-wait and exec
@@ -103,11 +96,12 @@ class FilterService {
   void QueryBatchAsync(std::vector<uint64_t> keys, QueryCallback done,
                        std::shared_ptr<obs::ActiveTrace> trace = nullptr);
 
-  // Synchronous batch entry points for callers that already own a thread
-  // (the network event loop hands decoded frames straight here): they bypass
+  // Synchronous batch entry points, run on the calling thread: they bypass
   // the request queue but take the same snapshot shared-lock, update the
   // same stats, and ride the same BatchRouter/front-cache path as queued
-  // batches.  Safe concurrently with queued traffic.
+  // batches.  Safe concurrently with queued traffic.  InsertBatchSync is the
+  // only way to insert; it returns the number of keys the filter failed to
+  // absorb (0 on full success).
   uint64_t InsertBatchSync(const uint64_t* keys, size_t count);
   // A non-null `trace` receives the exec span and (via CurrentTrace()) the
   // per-shard probe spans recorded while the batch runs.
@@ -119,16 +113,16 @@ class FilterService {
   // cache when enabled.
   bool Contains(uint64_t key) const;
 
-  // Blocks until every previously submitted batch has completed.
+  // Blocks until every previously queued batch has completed.
   void Drain() PF_EXCLUDES(mutex_);
 
-  // Drains, then appends a restorable snapshot of all shards, holding a
-  // service-wide write exclusion while serializing so every batch whose
-  // future resolved before the call is fully in the image (batches submitted
-  // concurrently land entirely before or entirely after it — never half).
+  // Appends a restorable snapshot of all shards, holding a service-wide
+  // write exclusion while serializing: every InsertBatchSync call that
+  // returned before Snapshot() was called is fully in the image, and one
+  // running concurrently lands entirely before or entirely after it — never
+  // half.  Queued work is queries only, so nothing needs draining first.
   // Returns false if any shard lacks a wire format.
-  bool Snapshot(std::vector<uint8_t>* out)
-      PF_EXCLUDES(mutex_, snapshot_mutex_);
+  bool Snapshot(std::vector<uint8_t>* out) PF_EXCLUDES(snapshot_mutex_);
 
   // Restores the sharded filter from a Snapshot() image (nullptr on
   // corruption or non-sharded images); wrap it in a new FilterService.
@@ -155,14 +149,10 @@ class FilterService {
       PF_EXCLUDES(query_fault_hook_mutex_);
 
  private:
+  // One queued QueryBatchAsync batch.
   struct Request {
-    bool is_insert = false;
     std::vector<uint64_t> keys;
-    std::promise<uint64_t> insert_result;
-    std::promise<std::vector<uint8_t>> query_result;
-    // Non-null for QueryBatchAsync requests: invoked with the results
-    // instead of fulfilling query_result.
-    QueryCallback query_callback;
+    QueryCallback done;
     // Enqueue timestamp feeding the service.queue.wait.ns histogram.
     uint64_t enqueue_ns = 0;
     // Non-null when the request is traced: the worker records queue-wait,

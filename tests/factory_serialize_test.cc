@@ -175,34 +175,6 @@ TEST(FactorySerialize, RetaggedEnvelopeNameIsRejected) {
   }
 }
 
-TEST(FactorySerialize, CorruptedQuotientSlotTableTerminates) {
-  // Regression: a QF snapshot whose slot metadata violates the cluster
-  // invariants (e.g. every slot shifted/continuation) used to hang
-  // FindRunStart's ring walk forever.  The walks are budgeted now: queries
-  // and inserts on such a filter may answer garbage but must terminate.
-  auto filter = MakeFilter("QF", 5000, 25);
-  ASSERT_NE(filter, nullptr);
-  const auto keys = RandomKeys(2000, 216);
-  for (uint64_t k : keys) filter->Insert(k);
-  std::vector<uint8_t> bytes;
-  ASSERT_TRUE(filter->SerializeTo(&bytes));
-
-  // Envelope (magic+ver+name) + QF header (magic+ver+cap+seed+size) precede
-  // the slot table; saturate every payload byte past the headers.
-  const size_t header = 4 + 1 + 4 + 2 /*"QF"*/ + 4 + 1 + 8 + 8 + 8;
-  ASSERT_LT(header, bytes.size());
-  for (size_t i = header; i < bytes.size(); ++i) bytes[i] = 0xff;
-  auto corrupted = DeserializeFilter(bytes.data(), bytes.size());
-  if (corrupted != nullptr) {
-    for (uint64_t k : RandomKeys(1000, 217)) {
-      corrupted->Contains(k);  // must return, value unspecified
-    }
-    for (uint64_t k : RandomKeys(100, 218)) {
-      corrupted->Insert(k);  // must return, not ring-walk forever
-    }
-  }
-}
-
 TEST(FactorySerialize, AliasedShardedBackendRoundTrips) {
   // Regression: the sharded name parser must canonicalize the inner name,
   // or shard blobs (tagged canonically) are rejected against the aliased

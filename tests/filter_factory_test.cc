@@ -1,5 +1,7 @@
 #include "src/core/filter_factory.h"
 
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "src/util/random.h"
@@ -18,6 +20,14 @@ TEST(FilterFactory, KnownNamesAllConstruct) {
 TEST(FilterFactory, UnknownNameReturnsNull) {
   EXPECT_EQ(MakeFilter("XorFilter", 1000), nullptr);
   EXPECT_EQ(MakeFilter("", 1000), nullptr);
+  // The retired quotient filter's name, alone or as a shard backend.
+  EXPECT_EQ(MakeFilter("QF", 1000), nullptr);
+  EXPECT_EQ(MakeFilter("SHARD8[QF]", 1000), nullptr);
+  // A snapshot envelope still tagged with it is refused too.
+  std::vector<uint8_t> envelope;
+  WriteFilterEnvelope("QF", &envelope);
+  envelope.resize(envelope.size() + 64, 0);
+  EXPECT_EQ(DeserializeFilter(envelope.data(), envelope.size()), nullptr);
 }
 
 TEST(FilterFactory, NamesRoundTrip) {

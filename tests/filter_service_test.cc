@@ -1,11 +1,12 @@
-// Tests for the thread-pool filter service: futures, concurrent clients,
-// backpressure-safe shutdown, stats, snapshot/restore, and the LSM table's
-// shared-service integration.
+// Tests for the thread-pool filter service: sync inserts, queued queries
+// with completion callbacks, concurrent clients, backpressure-safe shutdown,
+// stats, snapshot/restore, and the LSM table's shared-service integration.
 #include "src/service/filter_service.h"
 
 #include <atomic>
-#include <future>
+#include <condition_variable>
 #include <memory>
+#include <mutex>
 #include <thread>
 #include <vector>
 
@@ -28,23 +29,59 @@ std::shared_ptr<ShardedFilter> MakeSharded(uint64_t capacity, uint64_t seed,
   return std::shared_ptr<ShardedFilter>(filter.release());
 }
 
-TEST(FilterService, InsertAndQueryBatchesThroughFutures) {
+// Counts down once per completed QueryBatchAsync batch; Wait() blocks until
+// every expected batch has called back.  It may be destroyed as soon as
+// Wait() returns: CountDown notifies under the mutex, so the last callback
+// is done with the latch before Wait() can return.
+class Latch {
+ public:
+  explicit Latch(size_t count) : count_(count) {}
+  void CountDown() {
+    std::lock_guard<std::mutex> lock(mutex_);
+    if (--count_ == 0) done_.notify_all();
+  }
+  void Wait() {
+    std::unique_lock<std::mutex> lock(mutex_);
+    done_.wait(lock, [this] { return count_ == 0; });
+  }
+
+ private:
+  std::mutex mutex_;
+  std::condition_variable done_;
+  size_t count_;
+};
+
+// Queues one batch through QueryBatchAsync and blocks for its results.
+std::vector<uint8_t> QueryQueued(FilterService& service,
+                                 std::vector<uint64_t> keys) {
+  std::vector<uint8_t> results;
+  Latch latch(1);
+  service.QueryBatchAsync(std::move(keys), [&](std::vector<uint8_t> r) {
+    results = std::move(r);
+    latch.CountDown();
+  });
+  latch.Wait();
+  return results;
+}
+
+uint64_t InsertAll(FilterService& service, const std::vector<uint64_t>& keys) {
+  return service.InsertBatchSync(keys.data(), keys.size());
+}
+
+TEST(FilterService, InsertSyncAndQueryQueuedBatches) {
   const uint64_t n = 100000;
   FilterService service(MakeSharded(n, 191), {});
   const auto keys = RandomKeys(n, 192);
 
-  std::vector<std::future<uint64_t>> inserts;
   const size_t batch = 10000;
   for (size_t base = 0; base < keys.size(); base += batch) {
-    inserts.push_back(service.InsertBatch(std::vector<uint64_t>(
-        keys.begin() + base, keys.begin() + base + batch)));
+    EXPECT_EQ(service.InsertBatchSync(keys.data() + base, batch), 0u);
   }
-  for (auto& f : inserts) EXPECT_EQ(f.get(), 0u);
 
   // Mixed stream: even positions positive, odd almost-surely negative.
   std::vector<uint64_t> stream = RandomKeys(50000, 193);
   for (size_t i = 0; i < stream.size(); i += 2) stream[i] = keys[i % n];
-  auto result = service.QueryBatch(stream).get();
+  auto result = QueryQueued(service, stream);
   ASSERT_EQ(result.size(), 50000u);
   uint64_t negatives_hit = 0;
   for (size_t i = 0; i < result.size(); ++i) {
@@ -78,23 +115,33 @@ TEST(FilterService, WorkerPathRecordsQueueAndExecTelemetry) {
   const auto keys = RandomKeys(n, 882);
 
   constexpr size_t kBatch = 5000;
-  std::vector<std::future<uint64_t>> inserts;
   for (size_t base = 0; base < keys.size(); base += kBatch) {
-    inserts.push_back(service.InsertBatch(std::vector<uint64_t>(
-        keys.begin() + base, keys.begin() + base + kBatch)));
+    EXPECT_EQ(service.InsertBatchSync(keys.data() + base, kBatch), 0u);
   }
-  for (auto& f : inserts) EXPECT_EQ(f.get(), 0u);
-  const auto answers =
-      service.QueryBatch(std::vector<uint64_t>(keys.begin(),
-                                               keys.begin() + 10000)).get();
-  ASSERT_EQ(answers.size(), 10000u);
+  // Queue every query batch before waiting on any, so several sit in the
+  // queue together.
+  constexpr size_t kQueries = 10;
+  Latch latch(kQueries);
+  std::atomic<uint64_t> answered{0};
+  for (size_t q = 0; q < kQueries; ++q) {
+    service.QueryBatchAsync(
+        std::vector<uint64_t>(keys.begin() + q * kBatch,
+                              keys.begin() + (q + 1) * kBatch),
+        [&](std::vector<uint8_t> results) {
+          answered += results.size();
+          latch.CountDown();
+        });
+  }
+  latch.Wait();
+  EXPECT_EQ(answered.load(), kQueries * kBatch);
+  service.Drain();  // the workers' bookkeeping after the last callback
 
   const auto samples = registry.Collect();
   const obs::MetricSample* wait =
       obs::FindSample(samples, "service.queue.wait.ns");
   ASSERT_NE(wait, nullptr);
-  // Every queued request recorded a wait (n/kBatch inserts + 1 query).
-  EXPECT_EQ(wait->hist.count, n / kBatch + 1);
+  // Every queued query recorded a wait; sync inserts never queue.
+  EXPECT_EQ(wait->hist.count, kQueries);
   const obs::MetricSample* exec =
       obs::FindSample(samples, "service.exec.ns", "op", "insert");
   ASSERT_NE(exec, nullptr);
@@ -103,7 +150,7 @@ TEST(FilterService, WorkerPathRecordsQueueAndExecTelemetry) {
   const obs::MetricSample* depth =
       obs::FindSample(samples, "service.queue.depth");
   ASSERT_NE(depth, nullptr);
-  EXPECT_EQ(depth->value, 0);  // queue drained once the futures resolved
+  EXPECT_EQ(depth->value, 0);  // queue drained once every batch called back
 }
 
 TEST(FilterService, ManyConcurrentClients) {
@@ -123,13 +170,10 @@ TEST(FilterService, ManyConcurrentClients) {
       const size_t batch = 1000;
       for (size_t base = 0; base < mine.size(); base += batch) {
         const size_t count = std::min(batch, mine.size() - base);
-        failures += service
-                        .InsertBatch(std::vector<uint64_t>(
-                            mine.begin() + base, mine.begin() + base + count))
-                        .get();
+        failures += service.InsertBatchSync(mine.data() + base, count);
       }
-      // Immediately read back through the query path.
-      auto result = service.QueryBatch(mine).get();
+      // Immediately read back through the worker pool.
+      auto result = QueryQueued(service, mine);
       for (uint8_t b : result) {
         if (!b) failures.fetch_add(1);
       }
@@ -146,8 +190,9 @@ TEST(FilterService, SynchronousModeWorksWithoutThreads) {
                         FilterServiceOptions{/*num_threads=*/0,
                                              /*max_pending=*/1});
   const auto keys = RandomKeys(n, 197);
-  EXPECT_EQ(service.InsertBatch(keys).get(), 0u);
-  auto result = service.QueryBatch(keys).get();
+  EXPECT_EQ(InsertAll(service, keys), 0u);
+  auto result = QueryQueued(service, keys);
+  ASSERT_EQ(result.size(), keys.size());
   for (uint8_t b : result) ASSERT_TRUE(b);
 }
 
@@ -155,9 +200,18 @@ TEST(FilterService, SubmitAfterStopDegradesToSynchronous) {
   const uint64_t n = 10000;
   FilterService service(MakeSharded(n, 198), {});
   const auto keys = RandomKeys(n, 199);
-  EXPECT_EQ(service.InsertBatch(keys).get(), 0u);
+  EXPECT_EQ(InsertAll(service, keys), 0u);
   service.Stop();
-  auto result = service.QueryBatch(keys).get();
+  // With the pool gone the batch runs on the submitting thread: the callback
+  // has fired before QueryBatchAsync returns.
+  std::vector<uint8_t> result;
+  std::thread::id callback_thread;
+  service.QueryBatchAsync(keys, [&](std::vector<uint8_t> r) {
+    callback_thread = std::this_thread::get_id();
+    result = std::move(r);
+  });
+  EXPECT_EQ(callback_thread, std::this_thread::get_id());
+  ASSERT_EQ(result.size(), keys.size());
   for (uint8_t b : result) ASSERT_TRUE(b);
 }
 
@@ -165,7 +219,21 @@ TEST(FilterService, SnapshotRestoreRoundTrip) {
   const uint64_t n = 60000;
   FilterService service(MakeSharded(n, 200, /*shards=*/8), {});
   const auto keys = RandomKeys(n, 201);
-  EXPECT_EQ(service.InsertBatch(keys).get(), 0u);
+  // Concurrent inserters: every key whose InsertBatchSync call returned
+  // before Snapshot() must be in the image.
+  constexpr int kInserters = 4;
+  std::vector<std::thread> inserters;
+  std::atomic<uint64_t> failures{0};
+  for (int c = 0; c < kInserters; ++c) {
+    inserters.emplace_back([&, c]() {
+      const size_t slice = n / kInserters;
+      for (size_t base = c * slice; base < (c + 1) * slice; base += 1000) {
+        failures += service.InsertBatchSync(keys.data() + base, 1000);
+      }
+    });
+  }
+  for (auto& t : inserters) t.join();
+  EXPECT_EQ(failures.load(), 0u);
 
   std::vector<uint8_t> snapshot;
   ASSERT_TRUE(service.Snapshot(&snapshot));
@@ -174,7 +242,8 @@ TEST(FilterService, SnapshotRestoreRoundTrip) {
   EXPECT_EQ(restored->Name(), service.filter().Name());
 
   FilterService revived(restored, {});
-  auto result = revived.QueryBatch(keys).get();
+  auto result = QueryQueued(revived, keys);
+  ASSERT_EQ(result.size(), keys.size());
   for (uint8_t b : result) ASSERT_TRUE(b);
   // The restored filter answers probes identically (same hash seeds).
   const auto probes = RandomKeys(100000, 202);
@@ -254,8 +323,8 @@ TEST(FilterService, FrontCacheIsAnswerTransparentOnDupHeavyTraffic) {
   ASSERT_TRUE(cached.front_cache_enabled());
   ASSERT_FALSE(plain.front_cache_enabled());
 
-  EXPECT_EQ(cached.InsertBatch(stream.insert_keys).get(), 0u);
-  EXPECT_EQ(plain.InsertBatch(stream.insert_keys).get(), 0u);
+  EXPECT_EQ(InsertAll(cached, stream.insert_keys), 0u);
+  EXPECT_EQ(InsertAll(plain, stream.insert_keys), 0u);
 
   // Batched path, in service-sized batches so the cache sees repeats across
   // batches (within one batch every probe precedes every store).
@@ -264,8 +333,8 @@ TEST(FilterService, FrontCacheIsAnswerTransparentOnDupHeavyTraffic) {
     const size_t count = std::min(batch, stream.queries.size() - base);
     std::vector<uint64_t> slice(stream.queries.begin() + base,
                                 stream.queries.begin() + base + count);
-    const auto with_cache = cached.QueryBatch(slice).get();
-    const auto without = plain.QueryBatch(slice).get();
+    const auto with_cache = QueryQueued(cached, slice);
+    const auto without = QueryQueued(plain, slice);
     ASSERT_EQ(with_cache, without) << "answers diverged at batch " << base;
     for (size_t i = 0; i < count; ++i) {
       if (stream.query_expected[base + i]) {
@@ -300,19 +369,21 @@ TEST(FilterService, QueryBatchAsyncDeliversCallbackOffTheSubmittingThread) {
   options.num_threads = 2;
   FilterService service(MakeSharded(n, 881), options);
   const auto keys = RandomKeys(n, 882);
-  EXPECT_EQ(service.InsertBatch(keys).get(), 0u);
+  EXPECT_EQ(InsertAll(service, keys), 0u);
 
-  // Callback flavor answers identically to the future flavor, and (with a
-  // worker pool) runs on a worker thread, not the submitter.
-  std::promise<std::vector<uint8_t>> done;
+  // With a worker pool the callback runs on a worker thread, not the
+  // submitter.
+  std::vector<uint8_t> results;
   std::thread::id callback_thread;
+  Latch latch(1);
   service.QueryBatchAsync(
       std::vector<uint64_t>(keys.begin(), keys.begin() + 4096),
-      [&](std::vector<uint8_t> results) {
+      [&](std::vector<uint8_t> r) {
         callback_thread = std::this_thread::get_id();
-        done.set_value(std::move(results));
+        results = std::move(r);
+        latch.CountDown();
       });
-  const std::vector<uint8_t> results = done.get_future().get();
+  latch.Wait();
   ASSERT_EQ(results.size(), 4096u);
   for (size_t i = 0; i < results.size(); ++i) {
     EXPECT_EQ(results[i], 1) << "false negative at " << i;
@@ -325,7 +396,7 @@ TEST(FilterService, QueryBatchAsyncDeliversCallbackOffTheSubmittingThread) {
 TEST(FilterService, QueryBatchAsyncRunsInlineWhenSynchronous) {
   FilterService service(MakeSharded(1000, 883), {.num_threads = 0});
   const uint64_t key = 77;
-  EXPECT_EQ(service.InsertBatch({key}).get(), 0u);
+  EXPECT_EQ(service.InsertBatchSync(&key, 1), 0u);
   bool called = false;
   service.QueryBatchAsync({key}, [&](std::vector<uint8_t> results) {
     called = true;

@@ -17,6 +17,7 @@
 #include <memory>
 #include <string>
 #include <thread>
+#include <tuple>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -541,7 +542,7 @@ TEST(MembershipServer, StopIsIdempotentAndRestartableObjectsAreSeparate) {
 // the out-of-order completion machinery behind it) actually engages.
 std::shared_ptr<FilterService> MakeThreadedService(
     uint64_t capacity, uint32_t num_threads,
-    obs::MetricsRegistry* registry = nullptr) {
+    obs::MetricsRegistry* registry = nullptr, size_t front_cache_slots = 0) {
   ShardedFilterOptions options;
   options.num_shards = 8;
   options.seed = 0x5e12;
@@ -550,9 +551,93 @@ std::shared_ptr<FilterService> MakeThreadedService(
   FilterServiceOptions service_options;
   service_options.num_threads = num_threads;
   service_options.registry = registry;
+  service_options.front_cache_slots = front_cache_slots;
   return std::make_shared<FilterService>(
       std::shared_ptr<ShardedFilter>(filter.release()), service_options);
 }
+
+// Inline (no service workers) and offloaded (worker pool) serving share one
+// response path; across front-cache and tracing settings both must answer a
+// pipelined mixed stream exactly as the filter itself does.
+class ServingModeAnswers
+    : public ::testing::TestWithParam<std::tuple<uint32_t, size_t, double>> {
+};
+
+TEST_P(ServingModeAnswers, MatchFilterByteForByte) {
+  const auto [num_threads, front_cache_slots, trace_sample_rate] = GetParam();
+  const uint64_t n = 20000;
+  obs::MetricsRegistry registry;
+  auto service =
+      MakeThreadedService(n, num_threads, &registry, front_cache_slots);
+  ServerOptions options;
+  options.trace_sample_rate = trace_sample_rate;
+  options.registry = &registry;
+  MembershipServer server(service, options);
+  ASSERT_TRUE(server.Start()) << server.error();
+
+  ClientOptions client_options;
+  client_options.port = server.port();
+  client_options.pipeline_depth = 8;
+  client_options.max_batch_keys = 1000;
+  MembershipClient client(client_options);
+  const auto keys = RandomKeys(n, 1101);
+  for (size_t base = 0; base < n; base += 5000) {
+    uint64_t failures = 0;
+    ASSERT_TRUE(client.InsertBatch(keys.data() + base, 5000, &failures))
+        << client.error();
+    ASSERT_EQ(failures, 0u);
+  }
+
+  // Fixed mixed stream: acked keys, uniform keys, and repeats of earlier
+  // stream entries (which a front cache may answer).
+  const auto uniform = RandomKeys(60000, 1102);
+  std::vector<uint64_t> stream(uniform.size());
+  std::vector<uint8_t> acked(stream.size(), 0);
+  for (size_t i = 0; i < stream.size(); ++i) {
+    if (i % 3 == 0) {
+      stream[i] = keys[(i * 7) % n];
+      acked[i] = 1;
+    } else if (i % 3 == 1) {
+      stream[i] = uniform[i];
+    } else {
+      stream[i] = stream[i / 2];
+      acked[i] = acked[i / 2];
+    }
+  }
+  std::vector<uint8_t> answers;
+  ASSERT_TRUE(client.QueryPipelined(stream.data(), stream.size(), &answers))
+      << client.error();
+  std::vector<uint8_t> expected(stream.size());
+  service->filter().ContainsBatch(stream.data(), stream.size(),
+                                  expected.data());
+  ASSERT_EQ(answers, expected);
+  for (size_t i = 0; i < stream.size(); ++i) {
+    if (acked[i]) {
+      ASSERT_EQ(answers[i], 1) << "false negative at " << i;
+    }
+  }
+
+  const ServerStats stats = server.stats();
+  if (num_threads == 0) {
+    EXPECT_EQ(stats.batches_offloaded, 0u);
+  } else {
+    EXPECT_GT(stats.batches_offloaded, 0u);
+  }
+  if (obs::kEnabled && trace_sample_rate > 0.0) {
+    EXPECT_GT(server.trace_sink().stats().sampled, 0u);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    InlineAndOffloaded, ServingModeAnswers,
+    ::testing::Combine(::testing::Values(0u, 2u),
+                       ::testing::Values(size_t{0}, size_t{1024}),
+                       ::testing::Values(0.0, 1.0)),
+    [](const ::testing::TestParamInfo<ServingModeAnswers::ParamType>& p) {
+      return "threads" + std::to_string(std::get<0>(p.param)) + "_cache" +
+             std::to_string(std::get<1>(p.param)) +
+             (std::get<2>(p.param) > 0.0 ? "_traced" : "_untraced");
+    });
 
 TEST(MembershipServer, MultiLoopReuseportSpreadsConnectionsAcrossLoops) {
   obs::MetricsRegistry registry;
