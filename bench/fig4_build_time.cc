@@ -38,6 +38,33 @@ Result Build(const std::string& name, Filter filter,
   return {name, stats.seconds, stats.failures, stats};
 }
 
+// The same build through the prefetching PrefixFilter::InsertBatch, fed
+// 4096 keys per call (the INSERT_BATCH frame size perfbench sends).
+// Percentiles are over per-call ns/key, like TimedInserts' per-chunk
+// figures.
+template <typename Filter>
+Result BuildBatched(const std::string& name, Filter filter,
+                    const std::vector<uint64_t>& keys) {
+  constexpr size_t kBatch = 4096;
+  bench::PhaseStats stats;
+  std::vector<double> call_ns;
+  call_ns.reserve(keys.size() / kBatch + 1);
+  bench::Timer total;
+  for (size_t base = 0; base < keys.size(); base += kBatch) {
+    const size_t count = std::min(kBatch, keys.size() - base);
+    bench::Timer call;
+    stats.failures += filter.InsertBatch(keys.data() + base, count);
+    call_ns.push_back(call.Seconds() * 1e9 / static_cast<double>(count));
+  }
+  stats.seconds = total.Seconds();
+  stats.ops = keys.size();
+  bench::internal::FillPercentiles(call_ns, &stats);
+  bench::KeepAlive(filter.Contains(keys[0]));
+  return {name, stats.seconds, stats.failures, stats};
+}
+
+constexpr char kPfTcBatchName[] = "PF[TC] (InsertBatch, 4096-key chunks)";
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -63,6 +90,9 @@ int main(int argc, char** argv) {
   results.push_back(
       Build("PF[TC]", PrefixFilter<prefixfilter::SpareTcTraits>(n, pf_options),
             keys));
+  results.push_back(BuildBatched(
+      kPfTcBatchName, PrefixFilter<prefixfilter::SpareTcTraits>(n, pf_options),
+      keys));
   results.push_back(
       Build("PF[CF12-Flex]",
             PrefixFilter<prefixfilter::SpareCf12Traits>(n, pf_options), keys));
@@ -82,11 +112,14 @@ int main(int argc, char** argv) {
   results.push_back(
       Build("CF-12-Flex", prefixfilter::CuckooFilter12(n, true, seed), keys));
 
-  std::printf("%-14s | %10s | %10s\n", "Filter", "Seconds", "Mkeys/s");
-  std::printf("---------------+------------+-----------\n");
+  std::printf("%-38s | %10s | %10s | %8s\n", "Filter", "Seconds", "Mkeys/s",
+              "Failures");
+  std::printf("---------------------------------------+------------+"
+              "------------+---------\n");
   for (const auto& r : results) {
-    std::printf("%-14s | %10.3f | %10.2f%s\n", r.name.c_str(), r.seconds,
-                static_cast<double>(n) / r.seconds / 1e6,
+    std::printf("%-38s | %10.3f | %10.2f | %8llu%s\n", r.name.c_str(),
+                r.seconds, static_cast<double>(n) / r.seconds / 1e6,
+                static_cast<unsigned long long>(r.failures),
                 r.failures ? "  (!)" : "");
   }
 
@@ -106,6 +139,8 @@ int main(int argc, char** argv) {
   std::printf("  CF-12-Flex / PF   = %.2fx\n", find("CF-12-Flex") / pf_best);
   std::printf("  PF(worst)/PF(best)= %.2fx (paper: spare choice ~5.6%%)\n",
               pf_worst / pf_best);
+  std::printf("  PF[TC] scalar / InsertBatch = %.2fx (not a paper figure)\n",
+              find("PF[TC]") / find(kPfTcBatchName));
 
   bench::BenchRunner runner("fig4_build_time", options);
   for (const auto& r : results) {

@@ -41,6 +41,31 @@ void ContainsBatchOrScalar(const F& filter, const uint64_t* keys, size_t count,
   }
 }
 
+// Detects a concrete filter's prefetching batch insert
+// (`uint64_t InsertBatch(const uint64_t*, size_t)`, returning the failure
+// count), the insert-side twin of HasByteBatch.
+template <typename F, typename = void>
+struct HasInsertBatch : std::false_type {};
+template <typename F>
+struct HasInsertBatch<
+    F, std::void_t<decltype(std::declval<F&>().InsertBatch(
+           static_cast<const uint64_t*>(nullptr), size_t{0}))>>
+    : std::true_type {};
+
+// Batch insert into a CONCRETE filter: its prefetching batch insert if it
+// has one, otherwise a concrete (devirtualized) scalar loop.  Returns the
+// number of failed inserts.
+template <typename F>
+uint64_t InsertBatchOrScalar(F& filter, const uint64_t* keys, size_t count) {
+  if constexpr (HasInsertBatch<F>::value) {
+    return filter.InsertBatch(keys, count);
+  } else {
+    uint64_t failures = 0;
+    for (size_t i = 0; i < count; ++i) failures += !filter.Insert(keys[i]);
+    return failures;
+  }
+}
+
 // The incremental-filter contract (paper §2): Insert may assume the key is
 // not already present; Contains never reports a false negative.
 class AnyFilter {
@@ -63,7 +88,8 @@ class AnyFilter {
   // Batched insert: returns the number of FAILED inserts (0 == every key
   // absorbed), matching the sharded filter / service / wire-protocol
   // convention.  Same devirtualization story as ContainsBatch: the adapter
-  // overrides with a concrete loop, one dispatch per batch.
+  // overrides with InsertBatchOrScalar, one dispatch per batch (the prefix
+  // filters' prefetching InsertBatch, else a concrete loop).
   virtual uint64_t InsertBatch(const uint64_t* keys, size_t count) {
     uint64_t failures = 0;
     for (size_t i = 0; i < count; ++i) {

@@ -85,29 +85,22 @@ class PrefixFilter {
   // not absorb a forwarded fingerprint.
   bool Insert(uint64_t key) {
     const uint64_t h = hash_(key);
-    const uint64_t b = HashParts::Bin(h, num_bins_);
-    const int q = static_cast<int>(HashParts::Quotient(h, kNumLists));
-    const uint8_t r = HashParts::Remainder(h);
-    ++stats_.inserts;
+    return InsertHashed(h, HashParts::Bin(h, num_bins_));
+  }
 
-    PD256& bin = bins_[b];
-    if (bin.Insert(q, r)) return true;  // bin not full: common case
-
-    // Bin full: forward max{FP(x), max of bin} to the spare (Algorithm 1).
-    if (!bin.Overflowed()) bin.MarkOverflowed();
-    const uint16_t fp_new = MiniFp(q, r);
-    const uint16_t fp_max = bin.MaxFingerprint();
-    const uint16_t forwarded = fp_new > fp_max ? fp_new : fp_max;
-    ++stats_.spare_inserts;
-    if (fp_new <= fp_max) {
-      ++stats_.evictions;
-      bin.ReplaceMax(q, r);
-    }
-    const uint64_t spare_key = SpareKey(b, forwarded);
-    if (options_.avoid_spare_duplicates && spare_.Contains(spare_key)) {
-      return true;
-    }
-    return spare_.Insert(spare_key);
+  // Batched insert with the query path's software prefetching: each chunk's
+  // bins are requested for writing before any of the chunk is inserted, so
+  // the bin misses overlap instead of serializing.  Keys are still inserted
+  // in their original order, so the bins, the spare, stats() and the result
+  // are exactly those of the scalar Insert loop.  Returns the number of
+  // failed inserts (0 == every key absorbed).
+  uint64_t InsertBatch(const uint64_t* keys, size_t count) {
+    uint64_t failures = 0;
+    ForEachPrefetched</*kWrite=*/1>(
+        keys, count, [&](size_t, uint64_t h, uint64_t b) {
+          failures += !InsertHashed(h, b);
+        });
+    return failures;
   }
 
   // Approximate membership: no false negatives; false positives with
@@ -226,8 +219,12 @@ class PrefixFilter {
   }
 
  private:
-  template <typename Out>
-  void ContainsBatchImpl(const uint64_t* keys, size_t count, Out* out) const {
+  // The batch paths' shared loop: hashes a chunk of keys, prefetches each
+  // key's bin (kWrite selects a read or a write prefetch), then calls
+  // resolve(index, hash, bin) on the chunk's keys in their original order.
+  template <int kWrite, typename Resolve>
+  void ForEachPrefetched(const uint64_t* keys, size_t count,
+                         Resolve&& resolve) const {
     constexpr size_t kChunk = 16;
     uint64_t hashes[kChunk];
     uint64_t bins[kChunk];
@@ -236,12 +233,46 @@ class PrefixFilter {
       for (size_t i = 0; i < chunk; ++i) {
         hashes[i] = hash_(keys[base + i]);
         bins[i] = HashParts::Bin(hashes[i], num_bins_);
-        __builtin_prefetch(&bins_[bins[i]], 0, 1);
+        __builtin_prefetch(&bins_[bins[i]], kWrite, 1);
       }
       for (size_t i = 0; i < chunk; ++i) {
-        out[base + i] = static_cast<Out>(ContainsHashed(hashes[i], bins[i]));
+        resolve(base + i, hashes[i], bins[i]);
       }
     }
+  }
+
+  template <typename Out>
+  void ContainsBatchImpl(const uint64_t* keys, size_t count, Out* out) const {
+    ForEachPrefetched</*kWrite=*/0>(
+        keys, count, [&](size_t i, uint64_t h, uint64_t b) {
+          out[i] = static_cast<Out>(ContainsHashed(h, b));
+        });
+  }
+
+  // Algorithm 1 for a key whose hash h and bin b are already computed.
+  bool InsertHashed(uint64_t h, uint64_t b) {
+    const int q = static_cast<int>(HashParts::Quotient(h, kNumLists));
+    const uint8_t r = HashParts::Remainder(h);
+    ++stats_.inserts;
+
+    PD256& bin = bins_[b];
+    if (bin.Insert(q, r)) return true;  // bin not full: common case
+
+    // Bin full: forward max{FP(x), max of bin} to the spare (Algorithm 1).
+    if (!bin.Overflowed()) bin.MarkOverflowed();
+    const uint16_t fp_new = MiniFp(q, r);
+    const uint16_t fp_max = bin.MaxFingerprint();
+    const uint16_t forwarded = fp_new > fp_max ? fp_new : fp_max;
+    ++stats_.spare_inserts;
+    if (fp_new <= fp_max) {
+      ++stats_.evictions;
+      bin.ReplaceMax(q, r);
+    }
+    const uint64_t spare_key = SpareKey(b, forwarded);
+    if (options_.avoid_spare_duplicates && spare_.Contains(spare_key)) {
+      return true;
+    }
+    return spare_.Insert(spare_key);
   }
 
   bool ContainsHashed(uint64_t h, uint64_t b) const {

@@ -21,7 +21,7 @@ Run::Run(std::vector<std::pair<uint64_t, uint64_t>> entries,
   if (!filter_name.empty() && !keys_.empty()) {
     filter_ = MakeFilter(filter_name, keys_.size(), seed);
     if (filter_ != nullptr) {
-      for (uint64_t k : keys_) filter_->Insert(k);
+      filter_->InsertBatch(keys_.data(), keys_.size());
     }
   }
 }

@@ -804,8 +804,9 @@ void MembershipServer::HandleFrame(
   switch (opcode) {
     case Opcode::kInsertBatch: {
       obs::ScopedLatency timer(insert_request_hist_);
-      std::vector<uint64_t> keys;
-      if (!DecodeKeyBatchPayload(payload, payload_len, &keys)) {
+      std::vector<uint64_t>& keys = loop.insert_keys;
+      keys.clear();
+      if (!AppendKeyBatchPayload(payload, payload_len, &keys)) {
         EncodeErrorResponse(opcode, frame.request_id, ErrorCode::kBadRequest,
                             "malformed key batch", &conn.outbox);
         return;

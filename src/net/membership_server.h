@@ -255,6 +255,9 @@ class MembershipServer {
     // Loop-thread-only xorshift state behind head sampling and server-side
     // trace-id generation (seeded in Start()).
     uint64_t rng_state = 1;
+    // Loop-thread-only INSERT_BATCH decode buffer, reused across frames
+    // (inserts run synchronously, so no frame outlives its decode).
+    std::vector<uint64_t> insert_keys;
   };
 
   // Per-loop traffic counters behind the loop=<i> metric labels.  Fixed at

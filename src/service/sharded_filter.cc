@@ -201,7 +201,8 @@ uint64_t ShardedFilter::InsertShard(uint32_t shard_index,
   MutexLock guard(shard.mutex);
   shard.stats.inserts += count;
   // One devirtualized batch call per shard group: the adapter's concrete
-  // insert loop runs under the lock instead of count virtual Inserts.
+  // batch insert (prefetching, for prefix-filter shards) runs under the
+  // lock instead of count virtual Inserts.
   const uint64_t failures = shard.filter->InsertBatch(keys, count);
   shard.stats.insert_failures += failures;
   return failures;

@@ -119,23 +119,48 @@ TEST(AnyFilterBatch, ScalarFallbackBackendsMatchScalar) {
   }
 }
 
-TEST(AnyFilterBatch, InsertBatchCountsFailuresLikeScalarLoop) {
-  // Overfill a rigid cuckoo filter: InsertBatch's failure count must equal
-  // what a scalar Insert loop over the same keys would have reported.
-  const uint64_t n = 4096;
-  auto batched = MakeFilter("CF-8", n, 401);
-  auto scalar = MakeFilter("CF-8", n, 401);
+// Overfills a tiny filter (9 prefix-filter bins, so every 16-key chunk has
+// keys sharing a bin, and the spare fails partway through the stream) and
+// feeds the same keys to InsertBatch in slices of `batch`: the failure count
+// and the snapshot image must equal a scalar Insert loop's byte for byte.
+void CheckInsertBatchParity(const char* name, size_t batch) {
+  SCOPED_TRACE(std::string(name) + " batch=" + std::to_string(batch));
+  const uint64_t n = 200;
+  auto batched = MakeFilter(name, n, 401);
+  auto scalar = MakeFilter(name, n, 401);
   ASSERT_NE(batched, nullptr);
   ASSERT_NE(scalar, nullptr);
-  const auto keys = RandomKeys(2 * n, 402);
+  const auto keys = RandomKeys(3 * n, 402);
 
   uint64_t scalar_failures = 0;
   for (uint64_t k : keys) scalar_failures += !scalar->Insert(k);
-  const uint64_t batch_failures = batched->InsertBatch(keys.data(), keys.size());
+  uint64_t batch_failures = 0;
+  for (size_t base = 0; base < keys.size(); base += batch) {
+    batch_failures += batched->InsertBatch(
+        keys.data() + base, std::min(batch, keys.size() - base));
+  }
   EXPECT_EQ(batch_failures, scalar_failures);
-  EXPECT_GT(batch_failures, 0u) << "overfill did not exercise failures";
+  // A Bloom spare never rejects a key; every other backend here must.
+  if (std::string(name) != "PF[BBF-Flex]") {
+    EXPECT_GT(batch_failures, 0u) << "overfill did not exercise failures";
+  }
+  std::vector<uint8_t> batch_image, scalar_image;
+  ASSERT_TRUE(batched->SerializeTo(&batch_image));
+  ASSERT_TRUE(scalar->SerializeTo(&scalar_image));
+  EXPECT_EQ(batch_image, scalar_image);
   for (uint64_t k : keys) {
     EXPECT_EQ(batched->Contains(k), scalar->Contains(k));
+  }
+}
+
+TEST(AnyFilterBatch, InsertBatchCountsFailuresLikeScalarLoop) {
+  // The PF names take the prefetching PrefixFilter::InsertBatch; CF-8 the
+  // adapter's scalar fallback.  Sizes 1/7/16/17/4096 cover chunk tails.
+  for (const char* name : {"PF[TC]", "PF[CF12-Flex]", "PF[BBF-Flex]", "CF-8"}) {
+    for (size_t batch : {size_t{1}, size_t{7}, size_t{16}, size_t{17},
+                         size_t{4096}}) {
+      CheckInsertBatchParity(name, batch);
+    }
   }
 }
 

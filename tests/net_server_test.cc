@@ -294,6 +294,44 @@ TEST(MembershipServer, MalformedPayloadGetsTypedErrorFrameAndConnectionLives) {
   conn.ReadFrame(&response);
   EXPECT_FALSE(response.is_error());
   EXPECT_EQ(response.request_id, 8u);
+
+  // The same lie in an INSERT_BATCH draws the same typed error.  The loop
+  // decodes inserts into one reused buffer: the two well-formed inserts
+  // pipelined after it must each apply exactly their own keys.
+  std::vector<uint8_t> bad_insert;
+  AppendFrame(Opcode::kInsertBatch, 0, /*request_id=*/9, payload.data(),
+              payload.size(), &bad_insert);
+  conn.Send(bad_insert);
+  conn.ReadFrame(&response);
+  EXPECT_TRUE(response.is_error());
+  EXPECT_EQ(response.request_id, 9u);
+  ASSERT_TRUE(DecodeErrorPayload(response.payload.data(),
+                                 response.payload.size(), &code, &message));
+  EXPECT_EQ(code, ErrorCode::kBadRequest);
+  EXPECT_EQ(message, "malformed key batch");
+
+  const std::vector<uint64_t> three = {101, 102, 103};
+  const uint64_t one = 104;
+  std::vector<uint8_t> inserts;
+  EncodeKeyBatchRequest(Opcode::kInsertBatch, 10, three.data(), three.size(),
+                        &inserts);
+  EncodeKeyBatchRequest(Opcode::kInsertBatch, 11, &one, 1, &inserts);
+  conn.Send(inserts);
+  for (uint64_t id : {10u, 11u}) {
+    conn.ReadFrame(&response);
+    EXPECT_FALSE(response.is_error());
+    EXPECT_EQ(response.request_id, id);
+  }
+  MembershipClient client(loop.client_options);
+  WireStats stats;
+  ASSERT_TRUE(client.Stats(&stats)) << client.error();
+  EXPECT_EQ(stats.insert_batches, 2u);
+  EXPECT_EQ(stats.keys_inserted, 4u);
+  for (uint64_t k : {101u, 102u, 103u, 104u}) {
+    bool present = false;
+    ASSERT_TRUE(client.Contains(k, &present)) << client.error();
+    EXPECT_TRUE(present) << k;
+  }
 }
 
 TEST(MembershipClient, ReconnectsAfterDisconnect) {

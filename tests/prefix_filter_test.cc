@@ -2,7 +2,9 @@
 // spare traffic, and Theorem 2's guarantees — for all three spare types.
 #include "src/core/prefix_filter.h"
 
+#include <algorithm>
 #include <cmath>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -149,6 +151,47 @@ TEST(PrefixFilter, DuplicateAvoidanceHandlesUnboundedDuplication) {
   PrefixFilter<SpareCf12Traits> pf(100000, options);
   for (int i = 0; i < 500; ++i) ASSERT_TRUE(pf.Insert(777));
   EXPECT_TRUE(pf.Contains(777));
+}
+
+TYPED_TEST(PrefixFilterTypedTest, InsertBatchMatchesScalarWithDuplicateAvoidance) {
+  // The §4.4 duplicate check reads the spare before forwarding, so a batch
+  // that reordered inserts would skip a different set of fingerprints.
+  // InsertBatch inserts in key order: with duplicates adjacent (same chunk)
+  // and far apart (later chunks), and the filter overfilled 3x, its image,
+  // stats and failure count must equal the scalar loop's exactly.
+  const uint64_t n = 2000;
+  const auto distinct = RandomKeys(1000, 124);
+  std::vector<uint64_t> stream;
+  for (uint64_t k : distinct) stream.insert(stream.end(), {k, k, k, k});
+  stream.insert(stream.end(), distinct.begin(), distinct.end());
+  stream.insert(stream.end(), distinct.begin(), distinct.end());
+
+  PrefixFilterOptions options;
+  options.avoid_spare_duplicates = true;
+  PrefixFilter<TypeParam> scalar(n, options);
+  uint64_t scalar_failures = 0;
+  for (uint64_t k : stream) scalar_failures += !scalar.Insert(k);
+  std::vector<uint8_t> scalar_image;
+  scalar.SerializeTo(&scalar_image);
+  ASSERT_GT(scalar.stats().spare_inserts, 0u);
+  ASSERT_GT(scalar.stats().evictions, 0u);
+
+  for (size_t batch : {size_t{1}, size_t{16}, size_t{17}, stream.size()}) {
+    SCOPED_TRACE(batch);
+    PrefixFilter<TypeParam> batched(n, options);
+    uint64_t failures = 0;
+    for (size_t base = 0; base < stream.size(); base += batch) {
+      failures += batched.InsertBatch(stream.data() + base,
+                                      std::min(batch, stream.size() - base));
+    }
+    EXPECT_EQ(failures, scalar_failures);
+    EXPECT_EQ(batched.stats().inserts, scalar.stats().inserts);
+    EXPECT_EQ(batched.stats().spare_inserts, scalar.stats().spare_inserts);
+    EXPECT_EQ(batched.stats().evictions, scalar.stats().evictions);
+    std::vector<uint8_t> image;
+    batched.SerializeTo(&image);
+    EXPECT_EQ(image, scalar_image);
+  }
 }
 
 TEST(PrefixFilter, Alpha100StillWorks) {
