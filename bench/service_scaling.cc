@@ -10,22 +10,167 @@
 // cores (the acceptance target: >= 3x single-thread at 8 threads on
 // hardware with >= 8 cores).
 //
+// The last table is the fan-out sweep: where handing a batch's shard groups
+// to idle FilterService workers (the fork-join path) starts to pay.  Run it
+// once in cache (--n-log2=16) and once out of it (--n-log2=24).
+//
 //   bench_service_scaling [--n-log2=L] [--seed=S] [--csv]
+#include <algorithm>
 #include <cinttypes>
+#include <memory>
 #include <thread>
 #include <vector>
 
 #include "bench/harness.h"
 #include "src/service/batch_router.h"
+#include "src/service/filter_service.h"
 #include "src/service/sharded_filter.h"
 
 namespace {
 
 using prefixfilter::BatchRouter;
+using prefixfilter::FilterService;
+using prefixfilter::FilterServiceOptions;
 using prefixfilter::ShardedFilter;
 using prefixfilter::ShardedFilterOptions;
 
 constexpr size_t kBatch = 4096;
+
+// Fan-out sweep shape: SHARD16[PF[TC]] behind a 2-worker service, driven by
+// one thread, so both workers are idle and free to help.
+constexpr uint32_t kSweepShards = 16;
+constexpr uint32_t kSweepWorkers = 2;
+constexpr int kSweepReps = 5;
+constexpr size_t kSweepBatches[] = {256,  512,  1024,  2048,
+                                    4096, 8192, 16384, 32768};
+
+std::shared_ptr<ShardedFilter> MakeSweepFilter(uint64_t n, uint64_t seed) {
+  ShardedFilterOptions options;
+  options.num_shards = kSweepShards;
+  options.backend = "PF[TC]";
+  options.seed = seed;
+  return std::shared_ptr<ShardedFilter>(ShardedFilter::Make(n, options));
+}
+
+// A service whose batches of at least `batch` keys fan out over
+// kSweepWorkers workers, or (workers == 0) one that runs every batch's
+// groups in order on the caller.
+std::unique_ptr<FilterService> MakeSweepService(
+    std::shared_ptr<ShardedFilter> filter, uint32_t workers, size_t batch,
+    prefixfilter::obs::MetricsRegistry* registry) {
+  FilterServiceOptions options;
+  options.num_threads = workers;
+  options.registry = registry;
+  auto service = std::make_unique<FilterService>(std::move(filter), options);
+  service->SetFanoutMinKeysForTesting(batch);
+  return service;
+}
+
+double Median(std::vector<double> v) {
+  std::sort(v.begin(), v.end());
+  return v[v.size() / 2];
+}
+
+// QueryBatchSync ns/key over `total` stream keys in batches of `batch`.
+double SweepQueryNs(FilterService& service,
+                    const std::vector<uint64_t>& stream, size_t batch,
+                    size_t total) {
+  std::vector<uint8_t> out(batch);
+  uint64_t found = 0;
+  size_t done = 0;
+  size_t base = 0;
+  prefixfilter::bench::Timer timer;
+  while (done < total) {
+    if (base + batch > stream.size()) base = 0;
+    service.QueryBatchSync(stream.data() + base, batch, out.data());
+    found += out[0];
+    base += batch;
+    done += batch;
+  }
+  const double secs = timer.Seconds();
+  prefixfilter::bench::KeepAlive(found);
+  return secs * 1e9 / static_cast<double>(done);
+}
+
+// InsertBatchSync ns/key: `builds` fresh filters, each filled with every
+// key in batches of `batch` (construction is not timed).
+double SweepInsertNs(const std::vector<uint64_t>& keys, uint64_t n,
+                     uint64_t seed, uint32_t workers, size_t batch,
+                     int builds) {
+  double secs = 0;
+  for (int b = 0; b < builds; ++b) {
+    prefixfilter::obs::MetricsRegistry registry;
+    auto service =
+        MakeSweepService(MakeSweepFilter(n, seed), workers, batch, &registry);
+    prefixfilter::bench::Timer timer;
+    for (size_t base = 0; base < keys.size(); base += batch) {
+      service->InsertBatchSync(keys.data() + base,
+                               std::min(batch, keys.size() - base));
+    }
+    secs += timer.Seconds();
+  }
+  return secs * 1e9 / static_cast<double>(keys.size() * builds);
+}
+
+// Prints in-order vs fanned-out ns/key at every sweep batch size; a ratio
+// below 1 means fan-out pays at that size.
+void RunFanoutSweep(const std::vector<uint64_t>& keys,
+                    const std::vector<uint64_t>& stream, uint64_t n,
+                    uint64_t seed, bool csv,
+                    prefixfilter::bench::BenchRunner* runner) {
+  // 4M keys per timed rep: tens of milliseconds even in cache.
+  const size_t query_total = size_t{1} << 22;
+  const int builds =
+      static_cast<int>(std::max<uint64_t>(1, (uint64_t{1} << 22) / n));
+  prefixfilter::obs::MetricsRegistry in_order_registry;
+  prefixfilter::obs::MetricsRegistry fanned_registry;
+  auto in_order_filter = MakeSweepFilter(n, seed);
+  auto fanned_filter = MakeSweepFilter(n, seed);
+  in_order_filter->InsertBatch(keys.data(), keys.size());
+  fanned_filter->InsertBatch(keys.data(), keys.size());
+  auto in_order = MakeSweepService(in_order_filter, 0, 0, &in_order_registry);
+  auto fanned = MakeSweepService(fanned_filter, kSweepWorkers, 0,
+                                 &fanned_registry);
+  if (csv) {
+    std::printf("fanout_batch,query_in_order_ns,query_fanned_ns,"
+                "insert_in_order_ns,insert_fanned_ns\n");
+  } else {
+    std::printf("\nfan-out sweep: SHARD%u[PF[TC]], n=%" PRIu64
+                ", one caller, %u idle workers, ns/key (median of %d)\n",
+                kSweepShards, n, kSweepWorkers, kSweepReps);
+    std::printf("%8s | %9s %9s %6s | %9s %9s %6s\n", "batch", "q order",
+                "q fanned", "ratio", "i order", "i fanned", "ratio");
+  }
+  for (const size_t batch : kSweepBatches) {
+    fanned->SetFanoutMinKeysForTesting(batch);
+    std::vector<double> q_order, q_fanned, i_order, i_fanned;
+    // Interleaved so host noise lands on both sides alike.
+    for (int rep = 0; rep < kSweepReps; ++rep) {
+      q_order.push_back(SweepQueryNs(*in_order, stream, batch, query_total));
+      q_fanned.push_back(SweepQueryNs(*fanned, stream, batch, query_total));
+      i_order.push_back(SweepInsertNs(keys, n, seed, 0, batch, builds));
+      i_fanned.push_back(
+          SweepInsertNs(keys, n, seed, kSweepWorkers, batch, builds));
+    }
+    const double qo = Median(q_order), qf = Median(q_fanned);
+    const double io = Median(i_order), jf = Median(i_fanned);
+    if (csv) {
+      std::printf("%zu,%.2f,%.2f,%.2f,%.2f\n", batch, qo, qf, io, jf);
+    } else {
+      std::printf("%8zu | %9.2f %9.2f %6.2f | %9.2f %9.2f %6.2f\n", batch,
+                  qo, qf, qf / qo, io, jf, jf / io);
+    }
+    char workload[48];
+    std::snprintf(workload, sizeof(workload), "fanout-sweep,batch=%zu",
+                  batch);
+    prefixfilter::json::Value m = prefixfilter::json::Value::MakeObject();
+    m.Set("query_in_order_ns_per_key", qo);
+    m.Set("query_fanned_ns_per_key", qf);
+    m.Set("insert_in_order_ns_per_key", io);
+    m.Set("insert_fanned_ns_per_key", jf);
+    runner->Add("SHARD16[PF[TC]]", workload, std::move(m));
+  }
+}
 
 struct Cell {
   double mops = 0;
@@ -213,6 +358,7 @@ int main(int argc, char** argv) {
     m.Set("scalar_overhead_pct", overhead_pct);
     runner.Add("SHARD16[PF[TC]]", "mixed-50-50,scalar", std::move(m));
   }
+  RunFanoutSweep(keys, stream, n, options.seed, options.csv, &runner);
   if (!runner.WriteJsonIfRequested()) return 1;
   return 0;
 }

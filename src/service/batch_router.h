@@ -8,12 +8,17 @@
 // through AnyFilter::ContainsBatch — for prefix-filter backends that is the
 // software-prefetching loop that keeps the paper's one-cache-miss-per-query
 // property across a whole group — and scatters results back into the
-// caller's order.
+// caller's order.  The groups are run through a ShardGroupRunner: in order
+// on the calling thread for standalone filters, fanned out over the worker
+// pool by FilterService for large batches.  Either way there is one
+// grouping pass and one group per touched shard.
 //
 // A router instance owns reusable scratch buffers and is therefore NOT
 // thread-safe; give each worker thread its own (they are cheap and grow to
 // the largest batch seen).  Routing through the same ShardedFilter from many
-// routers concurrently is the intended use.
+// routers concurrently is the intended use.  A concurrent runner's helper
+// threads read the calling router's scratch, which stays put until the
+// runner returns.
 #ifndef PREFIXFILTER_SRC_SERVICE_BATCH_ROUTER_H_
 #define PREFIXFILTER_SRC_SERVICE_BATCH_ROUTER_H_
 
@@ -27,14 +32,14 @@ namespace prefixfilter {
 
 class BatchRouter {
  public:
-  // Groups keys[0..count) by filter.ShardOf and invokes
+  // Groups keys[0..count) by filter.ShardOf, then hands the non-empty shard
+  // groups to `runner`; running group g calls
   //   visit(shard, group_keys, group_count)
-  // once per non-empty shard, with group_keys contiguous in router scratch.
-  // After the call, origin(p) maps each grouped position p back to the
-  // original stream index.
+  // with group_keys contiguous in router scratch.  With a concurrent runner
+  // `visit` runs on several threads at once, one call per group.
   template <typename Visitor>
-  void GroupByShard(const ShardedFilter& filter, const uint64_t* keys,
-                    size_t count, Visitor&& visit) {
+  void RunGroups(const ShardedFilter& filter, const uint64_t* keys,
+                 size_t count, ShardGroupRunner runner, Visitor&& visit) {
     const uint32_t num_shards = filter.num_shards();
     counts_.assign(num_shards, 0);
     shard_of_.resize(count);
@@ -45,8 +50,10 @@ class BatchRouter {
       ++counts_[shard_of_[i]];
     }
     offsets_.assign(num_shards + 1, 0);
+    groups_.clear();
     for (uint32_t s = 0; s < num_shards; ++s) {
       offsets_[s + 1] = offsets_[s] + counts_[s];
+      if (counts_[s] != 0) groups_.push_back(s);
     }
     fill_ = offsets_;
     for (size_t i = 0; i < count; ++i) {
@@ -54,23 +61,23 @@ class BatchRouter {
       grouped_keys_[pos] = keys[i];
       origin_[pos] = i;
     }
-    for (uint32_t s = 0; s < num_shards; ++s) {
-      if (counts_[s] == 0) continue;
+    runner(groups_.size(), [&](size_t g) {
+      const uint32_t s = groups_[g];
       visit(s, grouped_keys_.data() + offsets_[s], counts_[s]);
-    }
+    });
   }
 
   // Batched membership over a sharded filter: out[i] answers keys[i].
   void Route(const ShardedFilter& filter, const uint64_t* keys, size_t count,
-             uint8_t* out) {
+             uint8_t* out, ShardGroupRunner runner = kRunShardGroupsInOrder) {
     grouped_out_.resize(count);
-    GroupByShard(filter, keys, count,
-                 [&](uint32_t shard, const uint64_t* group, size_t n) {
-                   const size_t base =
-                       static_cast<size_t>(group - grouped_keys_.data());
-                   filter.QueryShard(shard, group, n,
-                                     grouped_out_.data() + base);
-                 });
+    RunGroups(filter, keys, count, runner,
+              [&](uint32_t shard, const uint64_t* group, size_t n) {
+                const size_t base =
+                    static_cast<size_t>(group - grouped_keys_.data());
+                filter.QueryShard(shard, group, n,
+                                  grouped_out_.data() + base);
+              });
     for (size_t p = 0; p < count; ++p) {
       out[origin_[p]] = grouped_out_[p];
     }
@@ -81,6 +88,8 @@ class BatchRouter {
   std::vector<size_t> counts_;
   std::vector<size_t> offsets_;
   std::vector<size_t> fill_;
+  // Shards with a non-empty group, ascending: group g is shard groups_[g].
+  std::vector<uint32_t> groups_;
   std::vector<uint64_t> grouped_keys_;
   std::vector<size_t> origin_;
   std::vector<uint8_t> grouped_out_;

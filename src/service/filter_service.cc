@@ -16,7 +16,6 @@ FilterService::FilterService(std::shared_ptr<ShardedFilter> filter,
       registry_(options.registry != nullptr
                     ? options.registry
                     : &obs::MetricsRegistry::Global()),
-      queue_depth_gauge_(registry_->GetGauge("service.queue.depth")),
       queue_wait_hist_(registry_->GetHistogram("service.queue.wait.ns")),
       insert_exec_hist_(
           registry_->GetHistogram("service.exec.ns", {{"op", "insert"}})),
@@ -47,6 +46,17 @@ FilterService::FilterService(std::shared_ptr<ShardedFilter> filter,
         counter("service.insert.failures", s.insert_failures);
         counter("service.front_cache.hits", s.front_cache_hits);
         counter("service.front_cache.misses", s.front_cache_misses);
+        counter("service.fanout.groups", s.fanout_caller_groups,
+                {{"by", "caller"}});
+        counter("service.fanout.groups", s.fanout_helper_groups,
+                {{"by", "helper"}});
+        // Read from the queue itself, so a scrape can never see a pop
+        // ahead of its push.
+        obs::MetricSample depth;
+        depth.name = "service.queue.depth";
+        depth.kind = obs::MetricKind::kGauge;
+        depth.value = static_cast<int64_t>(QueueDepth());
+        samples->push_back(std::move(depth));
       });
   workers_.reserve(num_threads_);
   for (uint32_t t = 0; t < num_threads_; ++t) {
@@ -95,7 +105,6 @@ void FilterService::Enqueue(Request request) {
     Execute(request);
     return;
   }
-  queue_depth_gauge_->Add(1);
   queue_nonempty_.NotifyOne();
 }
 
@@ -110,7 +119,8 @@ uint64_t FilterService::InsertBatchSync(const uint64_t* keys, size_t count) {
   obs::ScopedLatency timer(insert_exec_hist_);
   insert_batch_keys_hist_->Record(count);
   ReaderMutexLock snapshot_guard(snapshot_mutex_);
-  const uint64_t failures = filter_->InsertBatch(keys, count);
+  const uint64_t failures =
+      filter_->InsertBatch(keys, count, RunnerFor(count));
   insert_batches_.fetch_add(1, std::memory_order_relaxed);
   keys_inserted_.fetch_add(count, std::memory_order_relaxed);
   insert_failures_.fetch_add(failures, std::memory_order_relaxed);
@@ -165,7 +175,7 @@ QueryScratch& ThreadLocalQueryScratch() {
 void FilterService::QueryLocked(const uint64_t* keys, size_t count,
                                 uint8_t* out) {
   if (front_cache_ == nullptr) {
-    filter_->ContainsBatch(keys, count, out);
+    filter_->ContainsBatch(keys, count, out, RunnerFor(count));
     return;
   }
   // Split the batch at the cache: hits are answered immediately (these are
@@ -189,7 +199,8 @@ void FilterService::QueryLocked(const uint64_t* keys, size_t count,
   if (!scratch.miss_keys.empty()) {
     scratch.miss_out.resize(scratch.miss_keys.size());
     filter_->ContainsBatch(scratch.miss_keys.data(), scratch.miss_keys.size(),
-                           scratch.miss_out.data());
+                           scratch.miss_out.data(),
+                           RunnerFor(scratch.miss_keys.size()));
     for (size_t m = 0; m < scratch.miss_keys.size(); ++m) {
       out[scratch.miss_pos[m]] = scratch.miss_out[m];
       if (scratch.miss_out[m]) front_cache_->Store(scratch.miss_keys[m]);
@@ -219,18 +230,30 @@ bool FilterService::Contains(uint64_t key) const {
 void FilterService::WorkerLoop() {
   for (;;) {
     Request request;
+    FanoutJob* job = nullptr;
     {
       MutexLock lock(mutex_);
-      while (!stopping_ && queue_.empty()) queue_nonempty_.Wait(mutex_);
-      if (queue_.empty()) {
+      while (!stopping_ && queue_.empty() && fanout_jobs_.empty()) {
+        queue_nonempty_.Wait(mutex_);
+      }
+      if (!fanout_jobs_.empty()) {
+        // Help first: the batch is already running and its caller is
+        // waiting on it, while a queued request has not started.
+        job = fanout_jobs_.front();
+        ++job->helpers;
+      } else if (queue_.empty()) {
         if (stopping_) return;
         continue;
+      } else {
+        request = std::move(queue_.front());
+        queue_.pop_front();
+        ++in_flight_;
       }
-      request = std::move(queue_.front());
-      queue_.pop_front();
-      ++in_flight_;
     }
-    queue_depth_gauge_->Add(-1);
+    if (job != nullptr) {
+      HelpFanout(*job);
+      continue;
+    }
     const uint64_t picked_up_ns = obs::NowNanos();
     queue_wait_hist_->Record(picked_up_ns - request.enqueue_ns);
     if (request.trace != nullptr) {
@@ -245,6 +268,93 @@ void FilterService::WorkerLoop() {
       if (queue_.empty() && in_flight_ == 0) idle_.NotifyAll();
     }
   }
+}
+
+ShardGroupRunner FilterService::RunnerFor(size_t count) const {
+  if (num_threads_ == 0 ||
+      count < fanout_min_keys_.load(std::memory_order_relaxed)) {
+    return kRunShardGroupsInOrder;
+  }
+  return fanout_runner_;
+}
+
+void FilterService::RunFanout(size_t num_groups,
+                              FunctionRef<void(size_t)> run_group) {
+  // The caller's own groups record their spans into its trace directly
+  // (QueryShard reads the thread-local); helpers' spans are added below.
+  obs::ActiveTrace* const trace = obs::CurrentTrace();
+  FanoutJob job(num_groups, run_group, trace != nullptr);
+  bool posted = num_groups > 1;
+  if (posted) {
+    MutexLock lock(mutex_);
+    posted = !stopping_;  // a stopped pool has nobody left to help
+    if (posted) fanout_jobs_.push_back(&job);
+  }
+  if (!posted) {
+    kRunShardGroupsInOrder(num_groups, run_group);
+    return;
+  }
+  queue_nonempty_.NotifyAll();
+  uint64_t ran = 0;
+  size_t group = 0;
+  while (ClaimGroup(job, &group)) {
+    run_group(group);
+    ++ran;
+  }
+  {
+    MutexLock lock(mutex_);
+    // Every group is claimed, so the job is off the list (see ClaimGroup)
+    // and no new helper can register; wait out those that did.
+    while (job.helpers != 0) job.helpers_done.Wait(mutex_);
+  }
+  if (trace != nullptr) {
+    for (const obs::TraceSpan& span : job.helper_spans) {
+      trace->AddSpan(static_cast<obs::TraceStage>(span.stage), span.start_ns,
+                     span.end_ns, span.detail);
+    }
+    trace->t.spans_dropped += job.helper_spans_dropped;
+  }
+  fanout_caller_groups_.fetch_add(ran, std::memory_order_relaxed);
+}
+
+bool FilterService::ClaimGroup(FanoutJob& job, size_t* group) {
+  const size_t g = job.next_group.fetch_add(1, std::memory_order_relaxed);
+  if (g + 1 >= job.num_groups) {
+    MutexLock lock(mutex_);
+    const auto it =
+        std::find(fanout_jobs_.begin(), fanout_jobs_.end(), &job);
+    if (it != fanout_jobs_.end()) fanout_jobs_.erase(it);
+  }
+  *group = g;
+  return g < job.num_groups;
+}
+
+void FilterService::HelpFanout(FanoutJob& job) {
+  // Holds this helper's shard-probe spans until the caller, the trace's one
+  // writer, adds them after the join.
+  obs::ActiveTrace spans;
+  uint64_t ran = 0;
+  {
+    obs::ScopedCurrentTrace current(job.traced ? &spans : nullptr);
+    size_t group = 0;
+    while (ClaimGroup(job, &group)) {
+      job.run_group(group);
+      ++ran;
+    }
+  }
+  fanout_helper_groups_.fetch_add(ran, std::memory_order_relaxed);
+  MutexLock lock(mutex_);
+  job.helper_spans.insert(job.helper_spans.end(), spans.t.spans,
+                          spans.t.spans + spans.t.span_count);
+  job.helper_spans_dropped += spans.t.spans_dropped;
+  // Notified under mutex_: the caller cannot wake, return and destroy the
+  // job until this thread has released the lock.
+  if (--job.helpers == 0) job.helpers_done.NotifyAll();
+}
+
+size_t FilterService::QueueDepth() {
+  MutexLock lock(mutex_);
+  return queue_.size();
 }
 
 void FilterService::Drain() {
@@ -280,6 +390,10 @@ FilterServiceStats FilterService::stats() const {
   s.insert_failures = insert_failures_.load(std::memory_order_relaxed);
   s.front_cache_hits = front_cache_hits_.load(std::memory_order_relaxed);
   s.front_cache_misses = front_cache_misses_.load(std::memory_order_relaxed);
+  s.fanout_caller_groups =
+      fanout_caller_groups_.load(std::memory_order_relaxed);
+  s.fanout_helper_groups =
+      fanout_helper_groups_.load(std::memory_order_relaxed);
   return s;
 }
 

@@ -2,12 +2,24 @@
 // ROADMAP's north star asks for (many clients, batched traffic, async).
 //
 // Clients submit whole batches (the unit the paper's evaluation §7.3 uses).
-// Inserts run synchronously on the caller's thread (InsertBatchSync); queries
-// either run synchronously too (QueryBatchSync) or are queued with a
-// completion callback (QueryBatchAsync) for a fixed pool of workers draining
-// an MPMC request queue.  Either way each batch goes through a per-thread
-// BatchRouter, so it pays one lock acquisition per touched shard and rides
-// the prefetching ContainsBatch path inside each shard.
+// Inserts are driven by the caller's thread (InsertBatchSync); queries
+// either are too (QueryBatchSync) or are queued with a completion callback
+// (QueryBatchAsync) for a fixed pool of workers draining an MPMC request
+// queue.  Either way each batch goes through a per-thread BatchRouter, so it
+// pays one lock acquisition per touched shard and rides the prefetching
+// batch path inside each shard.
+//
+// Fork-join over shard groups: a batch of at least kFanoutMinKeys keys on a
+// service with workers posts its shard groups to a help list that idle
+// workers check before the request queue.  The driving thread and any
+// helpers claim whole groups from one atomic cursor, each group running
+// under its shard lock; the caller then waits only for groups a helper has
+// already claimed, never for a helper that has not started.  Each shard
+// still receives its keys in their original order and the caller holds the
+// snapshot lock until the join, so filter state, failure counts, answers
+// and Snapshot() atomicity are exactly those of running the groups in order.
+// Smaller batches, and services with no workers, run their groups in order
+// on the driving thread.
 //
 // Backpressure: the queue is bounded (options.max_pending); submitters block
 // until a worker frees a slot, so a burst of clients cannot grow the queue
@@ -34,6 +46,7 @@
 #include "src/obs/trace.h"
 #include "src/service/front_cache.h"
 #include "src/service/sharded_filter.h"
+#include "src/util/function_ref.h"
 #include "src/util/thread_annotations.h"
 
 namespace prefixfilter {
@@ -67,10 +80,23 @@ struct FilterServiceStats {
   // Queries that consulted an enabled front cache and fell through to the
   // filter (0 when the cache is disabled — hit rate is hits/(hits+misses)).
   uint64_t front_cache_misses = 0;
+  // Shard groups of fanned-out batches (see the file comment), by who ran
+  // them: the thread that submitted the batch, or an idle worker helping.
+  uint64_t fanout_caller_groups = 0;
+  uint64_t fanout_helper_groups = 0;
 };
 
 class FilterService {
  public:
+  // Smallest batch whose shard groups fan out over the worker pool; smaller
+  // batches run their groups in order on the calling thread, where the
+  // hand-off (a lock, a wakeup, a join) would be a large share of the work.
+  // From bench_service_scaling's fan-out sweep (SHARD16[PF[TC]], one caller,
+  // 2 idle workers): fan-out breaks even at about 1024 keys in cache (2^16
+  // keys) and about 512 out of it (2^24), and costs 1.3-2.7x at 256-512
+  // keys in cache.
+  static constexpr size_t kFanoutMinKeys = 1024;
+
   explicit FilterService(std::shared_ptr<ShardedFilter> filter,
                          FilterServiceOptions options = {});
   ~FilterService();
@@ -96,15 +122,16 @@ class FilterService {
   void QueryBatchAsync(std::vector<uint64_t> keys, QueryCallback done,
                        std::shared_ptr<obs::ActiveTrace> trace = nullptr);
 
-  // Synchronous batch entry points, run on the calling thread: they bypass
-  // the request queue but take the same snapshot shared-lock, update the
-  // same stats, and ride the same BatchRouter/front-cache path as queued
-  // batches.  Safe concurrently with queued traffic.  InsertBatchSync is the
-  // only way to insert; it returns the number of keys the filter failed to
-  // absorb (0 on full success).
+  // Synchronous batch entry points, driven by the calling thread (idle
+  // workers may help with a large batch's shard groups; the call returns
+  // once every group is done): they bypass the request queue but take the
+  // same snapshot shared-lock, update the same stats, and ride the same
+  // BatchRouter/front-cache path as queued batches.  Safe concurrently with
+  // queued traffic.  InsertBatchSync is the only way to insert; it returns
+  // the number of keys the filter failed to absorb (0 on full success).
   uint64_t InsertBatchSync(const uint64_t* keys, size_t count);
-  // A non-null `trace` receives the exec span and (via CurrentTrace()) the
-  // per-shard probe spans recorded while the batch runs.
+  // A non-null `trace` receives the exec span and one shard-probe span per
+  // shard group, whichever thread ran the group.
   void QueryBatchSync(const uint64_t* keys, size_t count, uint8_t* out,
                       obs::ActiveTrace* trace = nullptr);
 
@@ -148,6 +175,13 @@ class FilterService {
       std::function<void(const uint64_t* keys, size_t count)> hook)
       PF_EXCLUDES(query_fault_hook_mutex_);
 
+  // Test-only: batches of at least `min_keys` keys fan out instead of
+  // kFanoutMinKeys (bench_service_scaling sweeps it to find where fan-out
+  // pays).  Safe while traffic is flowing.
+  void SetFanoutMinKeysForTesting(size_t min_keys) {
+    fanout_min_keys_.store(min_keys, std::memory_order_relaxed);
+  }
+
  private:
   // One queued QueryBatchAsync batch.
   struct Request {
@@ -161,6 +195,24 @@ class FilterService {
     std::shared_ptr<obs::ActiveTrace> trace;
   };
 
+  // The shard groups of one fanned-out batch, posted on fanout_jobs_.  It
+  // lives on the driving thread's stack; `helpers` (guarded by mutex_, which
+  // the analysis cannot name from a nested type) counts the workers that
+  // took it off the list, and the caller does not return while any remain.
+  struct FanoutJob {
+    FanoutJob(size_t groups, FunctionRef<void(size_t)> run, bool is_traced)
+        : num_groups(groups), run_group(run), traced(is_traced) {}
+    const size_t num_groups;
+    const FunctionRef<void(size_t)> run_group;
+    // Helpers record their shard-probe spans locally and hand them over.
+    const bool traced;
+    std::atomic<size_t> next_group{0};
+    size_t helpers = 0;
+    std::vector<obs::TraceSpan> helper_spans;
+    uint32_t helper_spans_dropped = 0;
+    CondVar helpers_done;
+  };
+
   void Enqueue(Request request) PF_EXCLUDES(mutex_);
   void Execute(Request& request);
   void WorkerLoop() PF_EXCLUDES(mutex_);
@@ -169,6 +221,20 @@ class FilterService {
   // positives.  Caller holds the snapshot shared lock.
   void QueryLocked(const uint64_t* keys, size_t count, uint8_t* out)
       PF_REQUIRES_SHARED(snapshot_mutex_);
+  // How a batch of `count` keys runs its shard groups: fanned out over the
+  // pool (RunFanout) or in order on the calling thread.
+  ShardGroupRunner RunnerFor(size_t count) const;
+  // The fork-join runner (see the file comment).
+  void RunFanout(size_t num_groups, FunctionRef<void(size_t)> run_group)
+      PF_EXCLUDES(mutex_);
+  // Claims job's next group into *group; false once all are claimed.  The
+  // claim that takes the last group, or finds none left, takes the job off
+  // the help list, so no worker picks up an exhausted job.
+  bool ClaimGroup(FanoutJob& job, size_t* group) PF_EXCLUDES(mutex_);
+  // A worker's turn on a job it registered on; deregisters at the end.
+  void HelpFanout(FanoutJob& job) PF_EXCLUDES(mutex_);
+  // Requests queued and not yet picked up (the service.queue.depth gauge).
+  size_t QueueDepth() PF_EXCLUDES(mutex_);
 
   std::shared_ptr<ShardedFilter> filter_;
   uint32_t num_threads_;
@@ -185,6 +251,9 @@ class FilterService {
   CondVar queue_nonfull_;
   CondVar idle_;
   std::deque<Request> queue_ PF_GUARDED_BY(mutex_);
+  // Fanned-out batches with groups left to claim; idle workers serve these
+  // before queue_.
+  std::vector<FanoutJob*> fanout_jobs_ PF_GUARDED_BY(mutex_);
   size_t in_flight_ PF_GUARDED_BY(mutex_) = 0;
   bool stopping_ PF_GUARDED_BY(mutex_) = false;
   // Written by the constructor before any concurrency exists, then read only
@@ -199,6 +268,19 @@ class FilterService {
   // mutable: bumped from the const Contains() fast path.
   mutable std::atomic<uint64_t> front_cache_hits_{0};
   mutable std::atomic<uint64_t> front_cache_misses_{0};
+  std::atomic<uint64_t> fanout_caller_groups_{0};
+  std::atomic<uint64_t> fanout_helper_groups_{0};
+  // RunFanout behind the ShardGroupRunner signature; RunnerFor hands out
+  // references to it.
+  struct FanoutRunner {
+    FilterService* service;
+    void operator()(size_t num_groups,
+                    FunctionRef<void(size_t)> run_group) const {
+      service->RunFanout(num_groups, run_group);
+    }
+  };
+  const FanoutRunner fanout_runner_{this};
+  std::atomic<size_t> fanout_min_keys_{kFanoutMinKeys};
 
   // Test-only query fault hook (see SetQueryFaultHookForTesting).  The
   // atomic flag keeps the disabled hot path to one relaxed load; the mutex
@@ -208,11 +290,11 @@ class FilterService {
   std::function<void(const uint64_t*, size_t)> query_fault_hook_
       PF_GUARDED_BY(query_fault_hook_mutex_);
 
-  // Observability: histograms/gauges resolved once at construction, updated
-  // lock-free on the request path; the counters above reach the registry
-  // through a scrape-time collector (zero extra hot-path cost).
+  // Observability: histograms resolved once at construction, updated
+  // lock-free on the request path; the counters above and the queue depth
+  // reach the registry through a scrape-time collector (zero extra hot-path
+  // cost).
   obs::MetricsRegistry* registry_;
-  obs::Gauge* queue_depth_gauge_;
   obs::LatencyHistogram* queue_wait_hist_;
   obs::LatencyHistogram* insert_exec_hist_;
   obs::LatencyHistogram* query_exec_hist_;

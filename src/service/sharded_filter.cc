@@ -1,6 +1,7 @@
 #include "src/service/sharded_filter.h"
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
 #include <cstring>
 #include <utility>
@@ -145,6 +146,12 @@ bool ShardedFilter::Contains(uint64_t key) const {
 
 void ShardedFilter::ContainsBatch(const uint64_t* keys, size_t count,
                                   uint8_t* out) const {
+  ContainsBatch(keys, count, out, kRunShardGroupsInOrder);
+}
+
+void ShardedFilter::ContainsBatch(const uint64_t* keys, size_t count,
+                                  uint8_t* out,
+                                  ShardGroupRunner runner) const {
   // Scalar fast path: a 1-key "batch" routes inline — counting-sorting a
   // single key would pay the router's full per-batch setup (the ~35-40%
   // single-thread overhead the PR-2 sweep flagged).
@@ -161,7 +168,7 @@ void ShardedFilter::ContainsBatch(const uint64_t* keys, size_t count,
   }
   // Reusable per-thread scratch: callers hammering the batch path (service
   // workers, benches) pay no per-call allocations after warm-up.
-  ThreadLocalRouter().Route(*this, keys, count, out);
+  ThreadLocalRouter().Route(*this, keys, count, out, runner);
 }
 
 void ShardedFilter::QueryShard(uint32_t shard_index, const uint64_t* keys,
@@ -209,16 +216,25 @@ uint64_t ShardedFilter::InsertShard(uint32_t shard_index,
 }
 
 uint64_t ShardedFilter::InsertBatch(const uint64_t* keys, size_t count) {
+  return InsertBatch(keys, count, kRunShardGroupsInOrder);
+}
+
+uint64_t ShardedFilter::InsertBatch(const uint64_t* keys, size_t count,
+                                    ShardGroupRunner runner) {
   // Mirrors the ContainsBatch fast paths: no grouping work when there is
   // nothing to group.
   if (count == 1) return Insert(keys[0]) ? 0 : 1;
   if (shard_bits_ == 0) return InsertShard(0, keys, count);
-  uint64_t failures = 0;
-  ThreadLocalRouter().GroupByShard(
-      *this, keys, count, [&](uint32_t shard, const uint64_t* group, size_t n) {
-        failures += InsertShard(shard, group, n);
+  // Atomic because a concurrent runner's groups finish on several threads;
+  // the runner's join orders every add before the load.
+  std::atomic<uint64_t> failures{0};
+  ThreadLocalRouter().RunGroups(
+      *this, keys, count, runner,
+      [&](uint32_t shard, const uint64_t* group, size_t n) {
+        failures.fetch_add(InsertShard(shard, group, n),
+                           std::memory_order_relaxed);
       });
-  return failures;
+  return failures.load(std::memory_order_relaxed);
 }
 
 bool ShardedFilter::SerializeTo(std::vector<uint8_t>* out) const {

@@ -30,6 +30,7 @@
 
 #include "src/core/filter_factory.h"
 #include "src/obs/metrics.h"
+#include "src/util/function_ref.h"
 #include "src/util/hash.h"
 #include "src/util/thread_annotations.h"
 
@@ -56,6 +57,22 @@ struct ShardStats {
   uint64_t queries = 0;
   uint64_t hits = 0;
 };
+
+// Runs the shard groups of one routed batch: calls run_group(g) exactly once
+// for every g in [0, num_groups) and returns only after every call has
+// returned.  Groups touch disjoint shards and disjoint slices of the
+// router's scratch, so a runner may run them concurrently, in any order and
+// on any thread; each shard still sees its own keys in their original order.
+using ShardGroupRunner = FunctionRef<void(
+    size_t num_groups, FunctionRef<void(size_t group)> run_group)>;
+
+// The runner of a standalone filter: every group in order on the calling
+// thread.  FilterService passes one that fans large batches out over its
+// worker pool instead.
+inline constexpr auto kRunShardGroupsInOrder =
+    [](size_t num_groups, FunctionRef<void(size_t group)> run_group) {
+      for (size_t g = 0; g < num_groups; ++g) run_group(g);
+    };
 
 class ShardedFilter final : public AnyFilter {
  public:
@@ -114,6 +131,14 @@ class ShardedFilter final : public AnyFilter {
   // batch call per shard).  Returns the number of failed inserts, per the
   // AnyFilter contract.
   uint64_t InsertBatch(const uint64_t* keys, size_t count) override;
+
+  // The batch operations above with the shard groups run through `runner`
+  // (the overrides pass kRunShardGroupsInOrder).  Same fast paths, same
+  // answers, same per-shard key order whatever the runner.
+  void ContainsBatch(const uint64_t* keys, size_t count, uint8_t* out,
+                     ShardGroupRunner runner) const;
+  uint64_t InsertBatch(const uint64_t* keys, size_t count,
+                       ShardGroupRunner runner);
 
   uint64_t per_shard_capacity() const { return per_shard_capacity_; }
   const std::string& backend() const { return options_.backend; }

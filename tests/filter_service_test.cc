@@ -1,9 +1,13 @@
 // Tests for the thread-pool filter service: sync inserts, queued queries
 // with completion callbacks, concurrent clients, backpressure-safe shutdown,
-// stats, snapshot/restore, and the LSM table's shared-service integration.
+// stats, snapshot/restore, the LSM table's shared-service integration, and
+// the fork-join fan-out of large batches' shard groups (identity with
+// in-order execution, snapshot atomicity, per-group trace spans).
 #include "src/service/filter_service.h"
 
+#include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <condition_variable>
 #include <memory>
 #include <mutex>
@@ -13,6 +17,7 @@
 #include <gtest/gtest.h>
 
 #include "src/lsm/table.h"
+#include "src/obs/trace.h"
 #include "src/util/random.h"
 #include "src/workload/workload.h"
 
@@ -422,6 +427,243 @@ TEST(FilterService, QueryFaultHookSeesBatchKeysAndClears) {
   seen.clear();
   service.QueryBatchSync(probe.data(), probe.size(), out.data());
   EXPECT_TRUE(seen.empty());
+}
+
+// service.queue.depth is read from the queue at scrape time, so it counts
+// exactly the requests waiting for a worker and has no increment and
+// decrement to race (as a counter bumped on each side of the queue, a pop
+// could land its decrement first and a scrape read -1).  One worker is held
+// on a marker batch while three more wait behind it.
+TEST(FilterService, QueueDepthGaugeCountsWaitingRequests) {
+  if (!obs::kEnabled) GTEST_SKIP() << "instrumentation compiled out";
+  obs::MetricsRegistry registry;
+  FilterServiceOptions options;
+  options.num_threads = 1;
+  options.registry = &registry;
+  FilterService service(MakeSharded(10000, 885), options);
+  constexpr uint64_t kMarker = 0xfeed;
+  Latch held(1);
+  Latch release(1);
+  service.SetQueryFaultHookForTesting([&](const uint64_t* keys, size_t) {
+    if (keys[0] != kMarker) return;
+    held.CountDown();
+    release.Wait();
+  });
+  const auto depth = [&registry]() {
+    const auto samples = registry.Collect();
+    const obs::MetricSample* sample =
+        obs::FindSample(samples, "service.queue.depth");
+    return sample == nullptr ? int64_t{-1000} : sample->value;
+  };
+  Latch answered(4);
+  const auto done = [&answered](std::vector<uint8_t>) {
+    answered.CountDown();
+  };
+  service.QueryBatchAsync({kMarker}, done);
+  held.Wait();  // the worker has taken the marker off the queue
+  EXPECT_EQ(depth(), 0);
+  for (uint64_t k = 1; k <= 3; ++k) service.QueryBatchAsync({k}, done);
+  EXPECT_EQ(depth(), 3);
+  release.CountDown();
+  answered.Wait();
+  service.Drain();
+  EXPECT_EQ(depth(), 0);
+  service.SetQueryFaultHookForTesting(nullptr);
+}
+
+// Batch sizes on both sides of the fan-out threshold.
+constexpr size_t kFanoutSizes[] = {1, FilterService::kFanoutMinKeys - 1,
+                                   FilterService::kFanoutMinKeys, 4096, 30000};
+
+// A fanned-out batch leaves the filter, the failure counts and the answers
+// exactly as running its shard groups in order would: one insert sequence on
+// a 0-worker and a 3-worker service, past capacity so inserts fail, gives
+// byte-identical snapshots, and every query path answers like the filter.
+TEST(FilterService, FanoutIsIdenticalToInOrderExecution) {
+  constexpr uint64_t kCapacity = 20000;  // the sequence below overfills it
+  FilterService in_order(MakeSharded(kCapacity, 886), {.num_threads = 0});
+  FilterService fanned(MakeSharded(kCapacity, 886), {.num_threads = 3});
+  const auto keys = RandomKeys(40000, 887);
+
+  size_t base = 0;
+  uint64_t total_failures = 0;
+  for (const size_t count : kFanoutSizes) {
+    const uint64_t expected =
+        in_order.InsertBatchSync(keys.data() + base, count);
+    EXPECT_EQ(fanned.InsertBatchSync(keys.data() + base, count), expected)
+        << "batch of " << count;
+    total_failures += expected;
+    base += count;
+    const FilterServiceStats stats = fanned.stats();
+    // Below the threshold nothing fans out; from it on, every group runs
+    // through the fork-join path.
+    EXPECT_EQ(stats.fanout_caller_groups + stats.fanout_helper_groups > 0,
+              count >= FilterService::kFanoutMinKeys)
+        << "batch of " << count;
+  }
+  ASSERT_GT(total_failures, 0u) << "the filter was meant to overflow";
+  EXPECT_EQ(fanned.stats().insert_failures, in_order.stats().insert_failures);
+  EXPECT_EQ(fanned.filter().TotalStats().insert_failures,
+            in_order.filter().TotalStats().insert_failures);
+  EXPECT_EQ(in_order.stats().fanout_caller_groups, 0u);
+  std::vector<uint8_t> in_order_image;
+  std::vector<uint8_t> fanned_image;
+  ASSERT_TRUE(in_order.Snapshot(&in_order_image));
+  ASSERT_TRUE(fanned.Snapshot(&fanned_image));
+  EXPECT_TRUE(in_order_image == fanned_image) << "snapshot images differ";
+
+  // Queries: half inserted keys, half fresh ones, against the filter's own
+  // batch answer, through the sync and queued paths, with the front cache
+  // on and off (each batch twice, so the cached service serves repeats).
+  auto reference = FilterService::Restore(fanned_image.data(),
+                                          fanned_image.size());
+  ASSERT_NE(reference, nullptr);
+  const auto fresh = RandomKeys(40000, 888);
+  for (const size_t cache_slots : {size_t{0}, size_t{4096}}) {
+    auto restored = FilterService::Restore(fanned_image.data(),
+                                           fanned_image.size());
+    ASSERT_NE(restored, nullptr);
+    FilterService service(restored, {.num_threads = 3,
+                                     .front_cache_slots = cache_slots});
+    for (const size_t count : kFanoutSizes) {
+      std::vector<uint64_t> batch(count);
+      for (size_t i = 0; i < count; ++i) {
+        batch[i] = i % 2 == 0 ? keys[i] : fresh[i];
+      }
+      std::vector<uint8_t> expected(count);
+      reference->ContainsBatch(batch.data(), count, expected.data());
+      for (int round = 0; round < 2; ++round) {
+        std::vector<uint8_t> sync(count);
+        service.QueryBatchSync(batch.data(), count, sync.data());
+        EXPECT_EQ(sync, expected) << "sync, batch of " << count
+                                  << ", cache slots " << cache_slots;
+        EXPECT_EQ(QueryQueued(service, batch), expected)
+            << "queued, batch of " << count << ", cache slots "
+            << cache_slots;
+      }
+    }
+    service.Drain();
+    const FilterServiceStats stats = service.stats();
+    EXPECT_GT(stats.fanout_caller_groups + stats.fanout_helper_groups, 0u);
+    if (cache_slots > 0) {
+      EXPECT_GT(stats.front_cache_hits, 0u);
+    }
+  }
+}
+
+// Snapshot() excludes batch execution, and a fanned-out insert holds the
+// snapshot lock until its last group is done, so each image holds every
+// batch whole or not at all, and every batch acknowledged before
+// Snapshot() began.
+TEST(FilterService, SnapshotIsAtomicAgainstFannedOutInserts) {
+  constexpr size_t kInserters = 2;
+  constexpr size_t kBatches = 40;
+  constexpr size_t kBatch = 2048;  // over kFanoutMinKeys: fans out
+  static_assert(kBatch >= FilterService::kFanoutMinKeys);
+  const uint64_t n = kInserters * kBatches * kBatch;
+  FilterService service(MakeSharded(n, 889), {.num_threads = 3});
+  const auto keys = RandomKeys(n, 890);
+  const auto batch_keys = [&](size_t inserter, size_t b) {
+    return keys.data() + (inserter * kBatches + b) * kBatch;
+  };
+
+  std::atomic<size_t> acked[kInserters] = {};
+  std::atomic<size_t> finished{0};
+  std::atomic<uint64_t> failures{0};
+  std::vector<std::thread> inserters;
+  for (size_t c = 0; c < kInserters; ++c) {
+    inserters.emplace_back([&, c]() {
+      for (size_t b = 0; b < kBatches; ++b) {
+        failures += service.InsertBatchSync(batch_keys(c, b), kBatch);
+        acked[c].store(b + 1);
+      }
+      ++finished;
+    });
+  }
+  // Snapshots at intervals for as long as the inserters run.
+  std::vector<std::vector<uint8_t>> images;
+  std::vector<std::vector<size_t>> acked_before;
+  while (finished.load() < kInserters && images.size() < 16) {
+    std::vector<size_t> acked_now;
+    for (const auto& a : acked) acked_now.push_back(a.load());
+    std::vector<uint8_t> image;
+    ASSERT_TRUE(service.Snapshot(&image));
+    images.push_back(std::move(image));
+    acked_before.push_back(std::move(acked_now));
+    std::this_thread::sleep_for(std::chrono::microseconds(500));
+  }
+  for (auto& t : inserters) t.join();
+  EXPECT_EQ(failures.load(), 0u);
+  EXPECT_GT(service.stats().fanout_caller_groups, 0u);
+
+  std::vector<uint8_t> out(kBatch);
+  for (size_t shot = 0; shot < images.size(); ++shot) {
+    auto restored =
+        FilterService::Restore(images[shot].data(), images[shot].size());
+    ASSERT_NE(restored, nullptr);
+    for (size_t c = 0; c < kInserters; ++c) {
+      for (size_t b = 0; b < kBatches; ++b) {
+        restored->ContainsBatch(batch_keys(c, b), kBatch, out.data());
+        const size_t present =
+            static_cast<size_t>(std::count(out.begin(), out.end(), 1));
+        // "Out" still admits false positives (about 0.4% here); a torn
+        // batch would show at least one whole shard group (~1/16) present.
+        const bool all_in = present == kBatch;
+        EXPECT_TRUE(all_in || present < kBatch / 32)
+            << "snapshot " << shot << " holds " << present << " of "
+            << kBatch << " keys of batch " << b << " of inserter " << c;
+        if (b < acked_before[shot][c]) {
+          EXPECT_TRUE(all_in) << "snapshot " << shot << " lost batch " << b
+                              << " of inserter " << c
+                              << ", acknowledged before it began";
+        }
+      }
+    }
+  }
+}
+
+// A traced fanned-out batch gets one shard-probe span per shard group,
+// whichever thread ran it: helpers hand their spans to the caller, the
+// trace's one writer, at the join.
+TEST(FilterService, FanoutRecordsOneProbeSpanPerShardGroup) {
+  if (!obs::kEnabled) GTEST_SKIP() << "instrumentation compiled out";
+  constexpr uint32_t kShards = 16;
+  const uint64_t n = 50000;
+  FilterService service(MakeSharded(n, 891, kShards), {.num_threads = 2});
+  const auto keys = RandomKeys(n, 892);
+  EXPECT_EQ(InsertAll(service, keys), 0u);
+
+  constexpr size_t kBatch = 4096;
+  std::vector<uint8_t> out(kBatch);
+  // Helpers join only when a worker is idle in time; retry until one did.
+  for (int attempt = 0; attempt < 200; ++attempt) {
+    const uint64_t helped_before = service.stats().fanout_helper_groups;
+    obs::ActiveTrace trace;
+    service.QueryBatchSync(keys.data() + (attempt % 10) * kBatch, kBatch,
+                           out.data(), &trace);
+    std::vector<bool> shard_seen(kShards, false);
+    uint64_t probed_keys = 0;
+    size_t probe_spans = 0;
+    for (uint32_t i = 0; i < trace.t.span_count; ++i) {
+      const obs::TraceSpan& span = trace.t.spans[i];
+      if (span.stage != static_cast<uint8_t>(obs::TraceStage::kShardProbe)) {
+        continue;
+      }
+      ++probe_spans;
+      const uint64_t shard = span.detail >> 32;
+      ASSERT_LT(shard, kShards);
+      EXPECT_FALSE(shard_seen[shard]) << "two spans for shard " << shard;
+      shard_seen[shard] = true;
+      probed_keys += span.detail & 0xffffffffu;
+      EXPECT_GE(span.end_ns, span.start_ns);
+    }
+    EXPECT_EQ(trace.t.spans_dropped, 0u);
+    // 4096 keys over 16 shards leave no shard group empty.
+    EXPECT_EQ(probe_spans, kShards);
+    EXPECT_EQ(probed_keys, kBatch);
+    if (service.stats().fanout_helper_groups > helped_before) return;
+  }
+  ADD_FAILURE() << "no worker ever helped with a fanned-out batch";
 }
 
 }  // namespace

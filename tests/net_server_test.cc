@@ -11,6 +11,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdlib>
@@ -1066,6 +1067,69 @@ TEST(MembershipServer, TracedRequestsCaptureFullPipelineTimelines) {
   }
   EXPECT_TRUE(full_timeline) << "no query trace covered decode + queue_wait + "
                                 "exec + shard_probe + completion + write";
+}
+
+// A merged batch of at least FilterService::kFanoutMinKeys keys fans its
+// shard groups out over the worker pool; its trace still carries exactly one
+// shard-probe span per shard group, whichever thread ran the group.
+TEST(MembershipServer, FannedOutQueryTraceHasOneProbeSpanPerShardGroup) {
+  obs::MetricsRegistry registry;
+  auto service = MakeThreadedService(20000, /*num_threads=*/2, &registry);
+  ServerOptions options;
+  options.trace_sample_rate = 1.0;
+  options.registry = &registry;
+  MembershipServer server(service, options);
+  ASSERT_TRUE(server.Start()) << server.error();
+
+  MembershipClient client(ClientOptions{.port = server.port()});
+  const auto keys = RandomKeys(16384, 962);
+  uint64_t failures = 0;
+  ASSERT_TRUE(client.InsertBatch(keys.data(), keys.size(), &failures));
+  ASSERT_EQ(failures, 0u);
+  constexpr size_t kQueryKeys = 4096;
+  static_assert(kQueryKeys >= FilterService::kFanoutMinKeys);
+  std::vector<uint8_t> answers;
+  for (size_t q = 0; q < 4; ++q) {
+    ASSERT_TRUE(
+        client.QueryBatch(keys.data() + q * kQueryKeys, kQueryKeys, &answers));
+    ASSERT_EQ(answers, std::vector<uint8_t>(kQueryKeys, 1));
+  }
+  const FilterServiceStats stats = service->stats();
+  EXPECT_GT(stats.fanout_caller_groups + stats.fanout_helper_groups, 0u);
+
+  std::vector<obs::Trace> traces;
+  ASSERT_TRUE(client.Traces(&traces)) << client.error();
+  if (!obs::kEnabled) {
+    EXPECT_TRUE(traces.empty());
+    return;
+  }
+  size_t checked = 0;
+  for (const obs::Trace& t : traces) {
+    if (t.opcode != static_cast<uint8_t>(Opcode::kQueryBatch) ||
+        t.key_count < FilterService::kFanoutMinKeys) {
+      continue;
+    }
+    std::vector<bool> shard_seen(8, false);
+    uint64_t probed_keys = 0;
+    for (uint32_t i = 0; i < t.span_count && i < obs::kMaxTraceSpans; ++i) {
+      if (t.spans[i].stage !=
+          static_cast<uint8_t>(obs::TraceStage::kShardProbe)) {
+        continue;
+      }
+      const uint64_t shard = t.spans[i].detail >> 32;
+      ASSERT_LT(shard, shard_seen.size());
+      EXPECT_FALSE(shard_seen[shard]) << "two spans for shard " << shard;
+      shard_seen[shard] = true;
+      probed_keys += t.spans[i].detail & 0xffffffffu;
+    }
+    EXPECT_EQ(t.spans_dropped, 0u);
+    // 4096+ keys over 8 shards leave no group empty: 8 spans covering
+    // every key of the merged batch.
+    EXPECT_EQ(std::count(shard_seen.begin(), shard_seen.end(), true), 8);
+    EXPECT_EQ(probed_keys, t.key_count);
+    ++checked;
+  }
+  EXPECT_GT(checked, 0u) << "no fanned-out query trace was retained";
 }
 
 TEST(MembershipServer, SlowRequestsAreTailCapturedWithoutHeadSampling) {

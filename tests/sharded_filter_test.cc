@@ -250,6 +250,53 @@ TEST(ShardedFilter, FastPathsAgreeWithRoutedPathAndKeepStats) {
   EXPECT_EQ(sharded2->TotalStats().inserts, 1u);
 }
 
+// The runner decides only where and when shard groups run, never what they
+// do: running every group on its own thread, concurrently, leaves the same
+// filter, failure count and answers as running them in order.
+TEST(ShardedFilter, ConcurrentGroupRunnerMatchesInOrder) {
+  ShardedFilterOptions options;
+  options.num_shards = 16;
+  options.seed = 31;
+  constexpr uint64_t kCapacity = 20000;
+  auto in_order = ShardedFilter::Make(kCapacity, options);
+  auto concurrent = ShardedFilter::Make(kCapacity, options);
+  ASSERT_NE(in_order, nullptr);
+  ASSERT_NE(concurrent, nullptr);
+  const auto thread_per_group = [](size_t num_groups,
+                                   FunctionRef<void(size_t)> run_group) {
+    std::vector<std::thread> threads;
+    for (size_t g = 0; g < num_groups; ++g) {
+      threads.emplace_back([&run_group, g]() { run_group(g); });
+    }
+    for (auto& t : threads) t.join();
+  };
+
+  // Overfilled, so some inserts fail and the failure counts are compared.
+  const auto keys = RandomKeys(2 * kCapacity, 32);
+  uint64_t failures = 0;
+  for (size_t base = 0; base < keys.size(); base += 5000) {
+    const uint64_t expected = in_order->InsertBatch(keys.data() + base, 5000);
+    EXPECT_EQ(concurrent->InsertBatch(keys.data() + base, 5000,
+                                      thread_per_group),
+              expected);
+    failures += expected;
+  }
+  EXPECT_GT(failures, 0u);
+  std::vector<uint8_t> in_order_image;
+  std::vector<uint8_t> concurrent_image;
+  ASSERT_TRUE(in_order->SerializeTo(&in_order_image));
+  ASSERT_TRUE(concurrent->SerializeTo(&concurrent_image));
+  EXPECT_TRUE(in_order_image == concurrent_image) << "images differ";
+
+  const auto probes = RandomKeys(30000, 33);
+  std::vector<uint8_t> expected(probes.size());
+  std::vector<uint8_t> actual(probes.size());
+  in_order->ContainsBatch(probes.data(), probes.size(), expected.data());
+  concurrent->ContainsBatch(probes.data(), probes.size(), actual.data(),
+                            thread_per_group);
+  EXPECT_EQ(actual, expected);
+}
+
 // Regression for a lock-discipline gap the thread-safety annotations
 // surfaced: SpaceBytes() walked shard->filter (a guarded member) without
 // the shard locks.  Today that read is geometry-only, so this test pins
