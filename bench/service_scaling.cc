@@ -4,11 +4,12 @@
 // Workload: a 50/50 positive/negative stream (the paper's §7.3 mixed round),
 // pre-partitioned into per-thread slices; every thread owns a BatchRouter
 // and drives ShardedFilter::ContainsBatch over its slice in batches of 4096,
-// so each batch pays one lock per touched shard and rides the prefetching
-// batch path inside each shard.  With 1 shard every thread serializes on one
-// lock; with >= threads shards the locks spread and throughput scales with
-// cores (the acceptance target: >= 3x single-thread at 8 threads on
-// hardware with >= 8 cores).
+// so each batch takes one shared lock per touched shard and rides the
+// prefetching batch path inside each shard.  Queries hold the shard locks
+// shared, so even with 1 shard every thread probes at once and throughput
+// scales with cores (ROADMAP item 2's target: SHARD1 at 4 threads >= 2x its
+// 1-thread rate); the line after the grid gives SHARD16's 1-thread rate
+// against the unsharded PF[TC] (target: within 10%).
 //
 // The last table is the fan-out sweep: where handing a batch's shard groups
 // to idle FilterService workers (the fork-join path) starts to pay.  Run it
@@ -243,6 +244,7 @@ int main(int argc, char** argv) {
     std::printf(" 8thr/1thr\n");
   }
 
+  double shard16_one_thread = 0;
   for (uint32_t shards : shard_counts) {
     ShardedFilterOptions sharded_options;
     sharded_options.num_shards = shards;
@@ -264,6 +266,7 @@ int main(int argc, char** argv) {
     for (int threads : thread_counts) {
       const Cell cell = RunCell(*filter, stream, threads);
       if (threads == thread_counts.front()) first = cell.mops;
+      if (shards == 16 && threads == 1) shard16_one_thread = cell.mops;
       last = cell.mops;
       if (options.csv) {
         std::printf("SHARD%u,%d,%.2f,%.2f\n", shards, threads, cell.mops,
@@ -301,14 +304,19 @@ int main(int argc, char** argv) {
     prefixfilter::bench::KeepAlive(found);
     const double mqps =
         prefixfilter::bench::OpsPerSec(stream.size(), secs) / 1e6;
+    const double shard16_ratio = mqps > 0 ? shard16_one_thread / mqps : 0.0;
     if (options.csv) {
-      std::printf("PF,1,%.2f,1.00\n", mqps);
+      std::printf("PF,1,%.2f,1.00\nSHARD16-vs-PF,1,%.2f,%.2f\n", mqps,
+                  shard16_one_thread, shard16_ratio);
     } else {
       std::printf("%-22s | %6.1f | (unsharded baseline)\n", "PF[TC] single",
                   mqps);
+      std::printf("%-22s | %6.2fx | (1 thread, SHARD16 batch / PF[TC] batch)\n",
+                  "SHARD16 / PF[TC]", shard16_ratio);
     }
     prefixfilter::json::Value m = prefixfilter::json::Value::MakeObject();
     m.Set("batched_query_mops", mqps);
+    m.Set("shard16_one_thread_ratio", shard16_ratio);
     runner.Add("PF[TC]", "mixed-50-50,threads=1", std::move(m));
   }
 

@@ -58,11 +58,11 @@ class BeFilter {
     const uint64_t b = HashParts::Bin(h, num_bins_);
     const int q = static_cast<int>(HashParts::Quotient(h, kNumLists));
     const uint8_t r = HashParts::Remainder(h);
-    ++stats_.inserts;
+    ++inserts_;
     PD256& bin = bins_[b];
     if (bin.Insert(q, r)) return true;
     // Full bin: forward the new fingerprint, no eviction (the BE design).
-    ++stats_.spare_inserts;
+    ++spare_inserts_;
     return spare_.Insert(SpareKey(b, q, r));
   }
 
@@ -71,17 +71,23 @@ class BeFilter {
     const uint64_t b = HashParts::Bin(h, num_bins_);
     const int q = static_cast<int>(HashParts::Quotient(h, kNumLists));
     const uint8_t r = HashParts::Remainder(h);
-    ++stats_.queries;
-    if (bins_[b].Find(q, r)) return true;
+    const bool in_bin = bins_[b].Find(q, r);
     // Without the Prefix Invariant there is no way to skip the spare.
-    ++stats_.spare_queries;
-    return spare_.Contains(SpareKey(b, q, r));
+    query_counters_.Add(1, in_bin ? 0 : 1);
+    return in_bin || spare_.Contains(SpareKey(b, q, r));
   }
 
   uint64_t capacity() const { return capacity_; }
   uint64_t num_bins() const { return num_bins_; }
   size_t SpaceBytes() const { return bins_.SizeBytes() + spare_.SpaceBytes(); }
-  const PrefixFilterStats& stats() const { return stats_; }
+  PrefixFilterStats stats() const {
+    PrefixFilterStats s;
+    s.inserts = inserts_;
+    s.spare_inserts = spare_inserts_;
+    s.queries = query_counters_.queries();
+    s.spare_queries = query_counters_.spare_queries();
+    return s;
+  }
   std::string Name() const {
     return std::string("BE[") + SpareTraits::Name() + "]";
   }
@@ -97,7 +103,9 @@ class BeFilter {
   AlignedBuffer<PD256> bins_;
   Spare spare_;
   Dietzfelbinger64 hash_;
-  mutable PrefixFilterStats stats_;
+  uint64_t inserts_ = 0;
+  uint64_t spare_inserts_ = 0;
+  QueryCounters query_counters_;
 };
 
 }  // namespace prefixfilter

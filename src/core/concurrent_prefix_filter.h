@@ -217,9 +217,9 @@ class ConcurrentPrefixFilter {
   uint64_t spare_capacity_;
   AlignedBuffer<PD256> bins_;
   uint64_t num_lock_stripes_;
-  mutable std::unique_ptr<internal::SpinLock[]> locks_;
+  std::unique_ptr<internal::SpinLock[]> locks_;
   uint32_t num_spare_shards_;
-  mutable std::vector<std::unique_ptr<SpareShard>> shards_;
+  std::vector<std::unique_ptr<SpareShard>> shards_;
   Dietzfelbinger64 hash_;
 };
 

@@ -32,7 +32,18 @@ class FilterAdapter final : public AnyFilter {
       : filter_(std::move(filter)), factory_name_(std::move(factory_name)) {}
 
   bool Insert(uint64_t key) override { return filter_.Insert(key); }
-  bool Contains(uint64_t key) const override { return filter_.Contains(key); }
+  // The wrapped filter's stats() cannot be reached from here, so a prefix
+  // filter is probed without its per-key query-counter add (a relaxed RMW;
+  // the sharded filter's scalar probe runs through here under a shared
+  // shard lock).  Batches add theirs once per batch, which costs nothing
+  // per key.
+  bool Contains(uint64_t key) const override {
+    if constexpr (requires { filter_.ContainsUncounted(key); }) {
+      return filter_.ContainsUncounted(key);
+    } else {
+      return filter_.Contains(key);
+    }
+  }
   // Devirtualized batch hot paths: one virtual dispatch per batch, then the
   // concrete filter's prefetching batch loop, or a concrete loop over
   // filter_ (inlined Contains/Insert — no per-key virtual calls) for filters

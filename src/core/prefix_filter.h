@@ -88,12 +88,12 @@ class PrefixFilter {
     return InsertHashed(h, HashParts::Bin(h, num_bins_));
   }
 
-  // Batched insert with the query path's software prefetching: each chunk's
-  // bins are requested for writing before any of the chunk is inserted, so
-  // the bin misses overlap instead of serializing.  Keys are still inserted
-  // in their original order, so the bins, the spare, stats() and the result
-  // are exactly those of the scalar Insert loop.  Returns the number of
-  // failed inserts (0 == every key absorbed).
+  // Batched insert with the query path's rolling prefetch window: each bin
+  // is requested for writing kWindow keys before it is inserted into, so the
+  // bin misses overlap instead of serializing.  Keys are still inserted in
+  // their original order, so the bins, the spare, stats() and the result are
+  // exactly those of the scalar Insert loop.  Returns the number of failed
+  // inserts (0 == every key absorbed).
   uint64_t InsertBatch(const uint64_t* keys, size_t count) {
     uint64_t failures = 0;
     ForEachPrefetched</*kWrite=*/1>(
@@ -106,16 +106,32 @@ class PrefixFilter {
   // Approximate membership: no false negatives; false positives with
   // probability bounded by FprBound().  Implements Algorithm 2: the Prefix
   // Invariant says the fingerprint can only be in the spare if the bin
-  // overflowed and fp(x) exceeds the bin maximum.
+  // overflowed and fp(x) exceeds the bin maximum.  Const in fact as well as
+  // in name: the only write is a relaxed add to the query counters, so any
+  // number of threads may probe at once.
   bool Contains(uint64_t key) const {
     const uint64_t h = hash_(key);
-    return ContainsHashed(h, HashParts::Bin(h, num_bins_));
+    bool spare = false;
+    const bool hit = ContainsHashed(h, HashParts::Bin(h, num_bins_), &spare);
+    query_counters_.Add(1, spare ? 1 : 0);
+    return hit;
+  }
+
+  // Contains without the query counters, for a caller that counts its own
+  // probes and never reads stats(): the factory's AnyFilter adapter, behind
+  // which stats() is out of reach.  A sharded scalar probe then pays its
+  // shard's hit-or-miss add and not this filter's add as well.
+  bool ContainsUncounted(uint64_t key) const {
+    const uint64_t h = hash_(key);
+    bool spare = false;
+    return ContainsHashed(h, HashParts::Bin(h, num_bins_), &spare);
   }
 
   // Batched membership with software prefetching.  Since almost every query
-  // resolves within one cache line (Theorem 2(3)), issuing the bin loads for
-  // a whole chunk before resolving any of them overlaps the misses that a
-  // one-at-a-time loop would serialize.  Results are written to out[0..n).
+  // resolves within one cache line (Theorem 2(3)), keeping the next kWindow
+  // bin loads in flight while a key resolves overlaps the misses that a
+  // one-at-a-time loop would serialize.  Results are written to out[0..n);
+  // the query counters take one add per batch.
   //
   // The uint8_t overload (0/1 results) is the canonical one: callers batching
   // into byte buffers (tests, benches, the service BatchRouter) use it
@@ -127,7 +143,7 @@ class PrefixFilter {
     ContainsBatchImpl(keys, count, out);
   }
 
-  uint64_t size() const { return stats_.inserts; }
+  uint64_t size() const { return inserts_; }
   uint64_t capacity() const { return capacity_; }
   uint64_t num_bins() const { return num_bins_; }
   uint64_t spare_capacity() const { return spare_capacity_; }
@@ -145,14 +161,23 @@ class PrefixFilter {
                                           kMiniFpRange, spare_fpr);
   }
 
-  const PrefixFilterStats& stats() const { return stats_; }
-  void ResetStats() { stats_ = PrefixFilterStats(); }
+  // A snapshot; the query counts are exact once concurrent probes are done.
+  PrefixFilterStats stats() const {
+    PrefixFilterStats s;
+    s.inserts = inserts_;
+    s.spare_inserts = spare_inserts_;
+    s.evictions = evictions_;
+    s.queries = query_counters_.queries();
+    s.spare_queries = query_counters_.spare_queries();
+    return s;
+  }
+  void ResetStats() {
+    inserts_ = spare_inserts_ = evictions_ = 0;
+    query_counters_.Reset();
+  }
   // Zeroes only the query counters (keeps insertion accounting; useful for
   // measuring spare-query fractions at a given load).
-  void ResetQueryStats() {
-    stats_.queries = 0;
-    stats_.spare_queries = 0;
-  }
+  void ResetQueryStats() { query_counters_.Reset(); }
   const Spare& spare() const { return spare_; }
 
   std::string Name() const {
@@ -176,9 +201,9 @@ class PrefixFilter {
     w.F64(options_.spare_slack);
     w.U8(options_.avoid_spare_duplicates ? 1 : 0);
     w.U64(options_.seed);
-    w.U64(stats_.inserts);
-    w.U64(stats_.spare_inserts);
-    w.U64(stats_.evictions);
+    w.U64(inserts_);
+    w.U64(spare_inserts_);
+    w.U64(evictions_);
     w.Raw(bins_.data(), bins_.SizeBytes());
     spare_.SerializeTo(out);
   }
@@ -193,10 +218,9 @@ class PrefixFilter {
     options.spare_slack = r.F64();
     options.avoid_spare_duplicates = r.U8() != 0;
     options.seed = r.U64();
-    PrefixFilterStats stats;
-    stats.inserts = r.U64();
-    stats.spare_inserts = r.U64();
-    stats.evictions = r.U64();
+    const uint64_t inserts = r.U64();
+    const uint64_t spare_inserts = r.U64();
+    const uint64_t evictions = r.U64();
     if (!r.ok() || capacity == 0 || options.bin_load_factor <= 0 ||
         options.bin_load_factor > 1.0 || options.spare_slack < 1.0) {
       return std::nullopt;
@@ -214,46 +238,60 @@ class PrefixFilter {
     auto spare = Spare::Deserialize(data + (len - r.remaining()), r.remaining());
     if (!spare.has_value()) return std::nullopt;
     f.spare_ = std::move(*spare);
-    f.stats_ = stats;
+    f.inserts_ = inserts;
+    f.spare_inserts_ = spare_inserts;
+    f.evictions_ = evictions;
     return f;
   }
 
  private:
-  // The batch paths' shared loop: hashes a chunk of keys, prefetches each
-  // key's bin (kWrite selects a read or a write prefetch), then calls
-  // resolve(index, hash, bin) on the chunk's keys in their original order.
+  // The batch paths' shared loop, a rolling prefetch window: key i+kWindow
+  // is hashed, binned and its bin prefetched (kWrite selects a read or a
+  // write prefetch) just before key i resolves, from a kWindow-slot ring, so
+  // a full window of bin loads stays in flight through the whole batch.
+  // resolve(index, hash, bin) sees the keys in their original order.
   template <int kWrite, typename Resolve>
   void ForEachPrefetched(const uint64_t* keys, size_t count,
                          Resolve&& resolve) const {
-    constexpr size_t kChunk = 16;
-    uint64_t hashes[kChunk];
-    uint64_t bins[kChunk];
-    for (size_t base = 0; base < count; base += kChunk) {
-      const size_t chunk = std::min(kChunk, count - base);
-      for (size_t i = 0; i < chunk; ++i) {
-        hashes[i] = hash_(keys[base + i]);
-        bins[i] = HashParts::Bin(hashes[i], num_bins_);
-        __builtin_prefetch(&bins_[bins[i]], kWrite, 1);
-      }
-      for (size_t i = 0; i < chunk; ++i) {
-        resolve(base + i, hashes[i], bins[i]);
-      }
+    constexpr size_t kWindow = 16;
+    uint64_t hashes[kWindow];
+    uint64_t bins[kWindow];
+    const auto stage = [&](size_t i) {
+      const size_t slot = i % kWindow;
+      hashes[slot] = hash_(keys[i]);
+      bins[slot] = HashParts::Bin(hashes[slot], num_bins_);
+      __builtin_prefetch(&bins_[bins[slot]], kWrite, 1);
+    };
+    const size_t lead = std::min(kWindow, count);
+    for (size_t i = 0; i < lead; ++i) stage(i);
+    size_t i = 0;
+    for (; i + kWindow < count; ++i) {
+      // Key i+kWindow reuses key i's slot: read it out before restaging.
+      const uint64_t h = hashes[i % kWindow];
+      const uint64_t b = bins[i % kWindow];
+      stage(i + kWindow);
+      resolve(i, h, b);
     }
+    for (; i < count; ++i) resolve(i, hashes[i % kWindow], bins[i % kWindow]);
   }
 
   template <typename Out>
   void ContainsBatchImpl(const uint64_t* keys, size_t count, Out* out) const {
+    uint64_t spare_queries = 0;
     ForEachPrefetched</*kWrite=*/0>(
         keys, count, [&](size_t i, uint64_t h, uint64_t b) {
-          out[i] = static_cast<Out>(ContainsHashed(h, b));
+          bool spare = false;
+          out[i] = static_cast<Out>(ContainsHashed(h, b, &spare));
+          spare_queries += spare;
         });
+    query_counters_.Add(count, spare_queries);
   }
 
   // Algorithm 1 for a key whose hash h and bin b are already computed.
   bool InsertHashed(uint64_t h, uint64_t b) {
     const int q = static_cast<int>(HashParts::Quotient(h, kNumLists));
     const uint8_t r = HashParts::Remainder(h);
-    ++stats_.inserts;
+    ++inserts_;
 
     PD256& bin = bins_[b];
     if (bin.Insert(q, r)) return true;  // bin not full: common case
@@ -263,9 +301,9 @@ class PrefixFilter {
     const uint16_t fp_new = MiniFp(q, r);
     const uint16_t fp_max = bin.MaxFingerprint();
     const uint16_t forwarded = fp_new > fp_max ? fp_new : fp_max;
-    ++stats_.spare_inserts;
+    ++spare_inserts_;
     if (fp_new <= fp_max) {
-      ++stats_.evictions;
+      ++evictions_;
       bin.ReplaceMax(q, r);
     }
     const uint64_t spare_key = SpareKey(b, forwarded);
@@ -275,13 +313,15 @@ class PrefixFilter {
     return spare_.Insert(spare_key);
   }
 
-  bool ContainsHashed(uint64_t h, uint64_t b) const {
+  // Algorithm 2 for a key whose hash h and bin b are already computed.
+  // Writes no member: a visit to the spare is reported through *spare, and
+  // the caller counts it.
+  bool ContainsHashed(uint64_t h, uint64_t b, bool* spare) const {
     const int q = static_cast<int>(HashParts::Quotient(h, kNumLists));
     const uint8_t r = HashParts::Remainder(h);
-    ++stats_.queries;
     const PD256& bin = bins_[b];
     if (bin.Overflowed() && MiniFp(q, r) > bin.MaxFingerprint()) {
-      ++stats_.spare_queries;
+      *spare = true;
       return spare_.Contains(SpareKey(b, MiniFp(q, r)));
     }
     return bin.Find(q, r);
@@ -310,7 +350,11 @@ class PrefixFilter {
   AlignedBuffer<PD256> bins_;
   Spare spare_;
   Dietzfelbinger64 hash_;
-  mutable PrefixFilterStats stats_;
+  // Written only by the insert path, which the caller serializes.
+  uint64_t inserts_ = 0;
+  uint64_t spare_inserts_ = 0;
+  uint64_t evictions_ = 0;
+  QueryCounters query_counters_;
 };
 
 }  // namespace prefixfilter

@@ -44,10 +44,10 @@ class BatchRouter {
     counts_.assign(num_shards, 0);
     shard_of_.resize(count);
     grouped_keys_.resize(count);
-    origin_.resize(count);
     for (size_t i = 0; i < count; ++i) {
-      shard_of_[i] = filter.ShardOf(keys[i]);
-      ++counts_[shard_of_[i]];
+      const uint32_t s = filter.ShardOf(keys[i]);
+      shard_of_[i] = static_cast<uint16_t>(s);
+      ++counts_[s];
     }
     offsets_.assign(num_shards + 1, 0);
     groups_.clear();
@@ -57,9 +57,7 @@ class BatchRouter {
     }
     fill_ = offsets_;
     for (size_t i = 0; i < count; ++i) {
-      const size_t pos = fill_[shard_of_[i]]++;
-      grouped_keys_[pos] = keys[i];
-      origin_[pos] = i;
+      grouped_keys_[fill_[shard_of_[i]]++] = keys[i];
     }
     runner(groups_.size(), [&](size_t g) {
       const uint32_t s = groups_[g];
@@ -78,20 +76,24 @@ class BatchRouter {
                 filter.QueryShard(shard, group, n,
                                   grouped_out_.data() + base);
               });
-    for (size_t p = 0; p < count; ++p) {
-      out[origin_[p]] = grouped_out_[p];
+    // Replays the grouping pass to find each key's slot, which costs less
+    // than storing every key's origin on the way in.
+    fill_ = offsets_;
+    for (size_t i = 0; i < count; ++i) {
+      out[i] = grouped_out_[fill_[shard_of_[i]]++];
     }
   }
 
  private:
-  std::vector<uint32_t> shard_of_;
+  static_assert(ShardedFilter::kMaxShards <= (1u << 16),
+                "shard_of_ holds shard indices in 16 bits");
+  std::vector<uint16_t> shard_of_;
   std::vector<size_t> counts_;
   std::vector<size_t> offsets_;
   std::vector<size_t> fill_;
   // Shards with a non-empty group, ascending: group g is shard groups_[g].
   std::vector<uint32_t> groups_;
   std::vector<uint64_t> grouped_keys_;
-  std::vector<size_t> origin_;
   std::vector<uint8_t> grouped_out_;
 };
 

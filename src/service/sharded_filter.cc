@@ -14,7 +14,6 @@
 namespace prefixfilter {
 namespace {
 
-constexpr uint32_t kMaxShards = 1 << 12;
 // Bounds on constructor/snapshot inputs so the per-shard capacity math stays
 // inside the exactly-representable double range (the double->uint64 cast in
 // PerShardCapacity is undefined past 2^64; crafted snapshot fields must be
@@ -70,7 +69,7 @@ std::unique_ptr<ShardedFilter> ShardedFilter::Make(
     uint64_t capacity, ShardedFilterOptions options) {
   options.backend = CanonicalFilterName(options.backend);
   if (options.backend.rfind("SHARD", 0) == 0 || options.num_shards == 0 ||
-      options.num_shards > kMaxShards || capacity == 0 ||
+      options.num_shards > ShardedFilter::kMaxShards || capacity == 0 ||
       capacity > kMaxCapacity || !(options.headroom_stddevs >= 0.0) ||
       options.headroom_stddevs > kMaxHeadroomStddevs) {
     return nullptr;
@@ -85,7 +84,7 @@ std::unique_ptr<ShardedFilter> ShardedFilter::Make(
     // The filter is not yet published, so the lock is uncontended; taking it
     // anyway satisfies the guarded_by proof without an analysis exception.
     Shard& shard = *filter->shards_[s];
-    MutexLock guard(shard.mutex);
+    WriterMutexLock guard(shard.mutex);
     shard.filter = MakeFilter(filter->options_.backend,
                               filter->per_shard_capacity_, shard_seed);
     if (shard.filter == nullptr) return nullptr;
@@ -102,7 +101,7 @@ bool ShardedFilter::ParseName(const std::string& name,
   uint64_t shards = 0;
   while (i < name.size() && name[i] >= '0' && name[i] <= '9') {
     shards = shards * 10 + static_cast<uint64_t>(name[i] - '0');
-    if (shards > kMaxShards) return false;
+    if (shards > ShardedFilter::kMaxShards) return false;
     ++i;
   }
   // Power-of-two counts only: rounding here would make Name() differ from
@@ -128,19 +127,21 @@ bool ShardedFilter::ParseName(const std::string& name,
 
 bool ShardedFilter::Insert(uint64_t key) {
   Shard& shard = *shards_[ShardOf(key)];
-  MutexLock guard(shard.mutex);
-  ++shard.stats.inserts;
+  WriterMutexLock guard(shard.mutex);
+  ++shard.inserts;
   if (shard.filter->Insert(key)) return true;
-  ++shard.stats.insert_failures;
+  ++shard.insert_failures;
   return false;
 }
 
 bool ShardedFilter::Contains(uint64_t key) const {
   Shard& shard = *shards_[ShardOf(key)];
-  MutexLock guard(shard.mutex);
-  ++shard.stats.queries;
-  const bool hit = shard.filter->Contains(key);
-  shard.stats.hits += hit;
+  bool hit;
+  {
+    ReaderMutexLock guard(shard.mutex);
+    hit = shard.filter->Contains(key);
+  }
+  shard.CountProbes(1, hit ? 1 : 0);
   return hit;
 }
 
@@ -179,20 +180,20 @@ void ShardedFilter::QueryShard(uint32_t shard_index, const uint64_t* keys,
   // branch.
   if (group_keys_hist_ != nullptr) group_keys_hist_->Record(count);
   // Traced requests record one span per shard group probed, including the
-  // wait for the shard lock (lock contention is exactly what a slow-request
-  // timeline needs to show).  Picked up through the thread-local so the
-  // AnyFilter interface stays trace-free; constant-nullptr when PF_OBS=OFF.
+  // wait for the shard lock (readers wait only for an insert holding it
+  // exclusive, which is exactly what a slow-request timeline needs to show).
+  // Picked up through the thread-local so the AnyFilter interface stays
+  // trace-free; constant-nullptr when PF_OBS=OFF.
   obs::ActiveTrace* trace = obs::CurrentTrace();
   const uint64_t probe_start_ns = trace != nullptr ? obs::NowNanos() : 0;
+  Shard& shard = *shards_[shard_index];
   {
-    Shard& shard = *shards_[shard_index];
-    MutexLock guard(shard.mutex);
+    ReaderMutexLock guard(shard.mutex);
     shard.filter->ContainsBatch(keys, count, out);
-    shard.stats.queries += count;
-    uint64_t hits = 0;
-    for (size_t i = 0; i < count; ++i) hits += out[i];
-    shard.stats.hits += hits;
   }
+  uint64_t hits = 0;
+  for (size_t i = 0; i < count; ++i) hits += out[i];
+  shard.CountProbes(count, hits);
   if (trace != nullptr) {
     trace->AddSpan(obs::TraceStage::kShardProbe, probe_start_ns,
                    obs::NowNanos(),
@@ -205,13 +206,13 @@ uint64_t ShardedFilter::InsertShard(uint32_t shard_index,
                                     const uint64_t* keys, size_t count) {
   if (group_keys_hist_ != nullptr) group_keys_hist_->Record(count);
   Shard& shard = *shards_[shard_index];
-  MutexLock guard(shard.mutex);
-  shard.stats.inserts += count;
+  WriterMutexLock guard(shard.mutex);
+  shard.inserts += count;
   // One devirtualized batch call per shard group: the adapter's concrete
   // batch insert (prefetching, for prefix-filter shards) runs under the
   // lock instead of count virtual Inserts.
   const uint64_t failures = shard.filter->InsertBatch(keys, count);
-  shard.stats.insert_failures += failures;
+  shard.insert_failures += failures;
   return failures;
 }
 
@@ -250,12 +251,13 @@ bool ShardedFilter::SerializeTo(std::vector<uint8_t>* out) const {
   for (uint32_t s = 0; s < num_shards_; ++s) {
     Shard& shard = *shards_[s];
     blob.clear();
-    MutexLock guard(shard.mutex);
+    ReaderMutexLock guard(shard.mutex);
     if (!shard.filter->SerializeTo(&blob)) return false;
-    w.U64(shard.stats.inserts);
-    w.U64(shard.stats.insert_failures);
-    w.U64(shard.stats.queries);
-    w.U64(shard.stats.hits);
+    const ShardStats stats = StatsLocked(shard);
+    w.U64(stats.inserts);
+    w.U64(stats.insert_failures);
+    w.U64(stats.queries);
+    w.U64(stats.hits);
     w.U64(blob.size());
     w.Raw(blob.data(), blob.size());
   }
@@ -303,10 +305,15 @@ std::unique_ptr<AnyFilter> ShardedFilter::DeserializePayload(
     {
       // Unpublished filter: uncontended lock, same reasoning as Make().
       Shard& shard = *filter->shards_[s];
-      MutexLock guard(shard.mutex);
+      WriterMutexLock guard(shard.mutex);
       shard.filter = DeserializeFilter(blob, blob_len);
       if (shard.filter == nullptr) return nullptr;
-      shard.stats = stats;
+      shard.inserts = stats.inserts;
+      shard.insert_failures = stats.insert_failures;
+      shard.hits.store(stats.hits, std::memory_order_relaxed);
+      // Modular: hits + misses gives back the stored queries field exactly.
+      shard.misses.store(stats.queries - stats.hits,
+                         std::memory_order_relaxed);
     }
     r.Skip(blob_len);
   }
@@ -323,7 +330,7 @@ size_t ShardedFilter::SpaceBytes() const {
   // exists to forbid.  See ShardedFilter.SpaceBytesConcurrentWithInserts.
   size_t total = 0;
   for (const auto& shard : shards_) {
-    MutexLock guard(shard->mutex);
+    ReaderMutexLock guard(shard->mutex);
     total += shard->filter->SpaceBytes();
   }
   return total;
@@ -343,8 +350,8 @@ void ShardedFilter::EnableMetrics(obs::MetricsRegistry* registry) {
   if (registry == nullptr || registry_ != nullptr) return;
   registry_ = registry;
   group_keys_hist_ = registry->GetHistogram("shard.group.keys");
-  // Scrape-time view over the ShardStats already maintained under the shard
-  // locks — per-shard occupancy (keys the shard absorbed), probe counts, and
+  // Scrape-time view over the ShardStats the shards already maintain —
+  // per-shard occupancy (keys the shard absorbed), probe counts, and
   // hits cost the hot path nothing extra.
   collector_id_ = registry->AddCollector(
       [this](std::vector<obs::MetricSample>* samples) {
@@ -374,10 +381,19 @@ void ShardedFilter::EnableMetrics(obs::MetricsRegistry* registry) {
       });
 }
 
+ShardStats ShardedFilter::StatsLocked(const Shard& shard) {
+  ShardStats stats;
+  stats.inserts = shard.inserts;
+  stats.insert_failures = shard.insert_failures;
+  stats.hits = shard.hits.load(std::memory_order_relaxed);
+  stats.queries = stats.hits + shard.misses.load(std::memory_order_relaxed);
+  return stats;
+}
+
 ShardStats ShardedFilter::shard_stats(uint32_t shard_index) const {
-  const Shard& shard = *shards_[shard_index];
-  MutexLock guard(shard.mutex);
-  return shard.stats;
+  Shard& shard = *shards_[shard_index];
+  ReaderMutexLock guard(shard.mutex);
+  return StatsLocked(shard);
 }
 
 ShardStats ShardedFilter::TotalStats() const {

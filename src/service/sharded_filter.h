@@ -5,8 +5,10 @@
 // mixer of the key; each shard is a complete, independently-seeded filter
 // behind the AnyFilter interface (by default a prefix filter, whose
 // single-cache-line queries the paper §5 makes the natural shard backend).
-// Each shard is guarded by its own line-padded mutex, so concurrent clients
-// contend only when they hit the same shard — the same per-partition-locking
+// Each shard is guarded by its own line-padded reader-writer lock: queries
+// take it shared, so readers never block each other (a probe writes nothing
+// but relaxed counters), and inserts take it exclusive, so writers contend
+// only when they hit the same shard — the same per-partition-locking
 // argument the paper makes for per-bin locking in §4.4, lifted one level up.
 //
 // Sizing: a shard receives Binomial(n, 1/N) of the n keys, so each shard is
@@ -23,6 +25,7 @@
 #ifndef PREFIXFILTER_SRC_SERVICE_SHARDED_FILTER_H_
 #define PREFIXFILTER_SRC_SERVICE_SHARDED_FILTER_H_
 
+#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -49,8 +52,11 @@ struct ShardedFilterOptions {
   double headroom_stddevs = 4.0;
 };
 
-// Per-shard operation counters (prefix_filter_stats.h style), maintained
-// under the shard lock and snapshotted by value.
+// Per-shard operation counters (prefix_filter_stats.h style), snapshotted by
+// value.  inserts/insert_failures are kept under the exclusive shard lock;
+// queries/hits come from relaxed atomic counters that readers, holding the
+// lock only shared, add to once per shard group.  The probe counts are exact
+// once the probing threads are done.
 struct ShardStats {
   uint64_t inserts = 0;
   uint64_t insert_failures = 0;
@@ -76,6 +82,8 @@ inline constexpr auto kRunShardGroupsInOrder =
 
 class ShardedFilter final : public AnyFilter {
  public:
+  static constexpr uint32_t kMaxShards = 1 << 12;
+
   // Builds an empty sharded filter for up to `capacity` keys.  Returns
   // nullptr iff options.backend is not an accepted non-sharded name.
   static std::unique_ptr<ShardedFilter> Make(uint64_t capacity,
@@ -120,8 +128,9 @@ class ShardedFilter final : public AnyFilter {
                                        (64 - shard_bits_));
   }
 
-  // Batch operations against one shard; each takes the shard lock once.
-  // Keys must all map to `shard` (BatchRouter guarantees this).
+  // Batch operations against one shard; each takes the shard lock once
+  // (shared to query, exclusive to insert).  Keys must all map to `shard`
+  // (BatchRouter guarantees this).
   void QueryShard(uint32_t shard, const uint64_t* keys, size_t count,
                   uint8_t* out) const;
   // Returns the number of failed inserts.
@@ -162,14 +171,35 @@ class ShardedFilter final : public AnyFilter {
   ShardedFilter(uint64_t capacity, ShardedFilterOptions options);
 
   struct Shard {
-    alignas(64) mutable Mutex mutex;
-    // The shard lock guards both the filter contents and the counters; the
-    // filter pointer itself is only written during construction/restore,
-    // but taking the lock there too keeps the proof uniform (and free —
-    // nothing contends at construction time).
+    // Counts one shard group's probes: at most two relaxed adds, and one for
+    // a scalar probe (a hit or a miss, never both).
+    void CountProbes(uint64_t queries, uint64_t hit_count) {
+      if (hit_count != 0) hits.fetch_add(hit_count, std::memory_order_relaxed);
+      if (queries != hit_count) {
+        misses.fetch_add(queries - hit_count, std::memory_order_relaxed);
+      }
+    }
+
+    alignas(64) SharedMutex mutex;
+    // The shard lock guards the filter contents (shared to probe, exclusive
+    // to insert) and the insert counters; the filter pointer itself is only
+    // written during construction/restore, but taking the lock there too
+    // keeps the proof uniform (and free — nothing contends at construction
+    // time).
     std::unique_ptr<AnyFilter> filter PF_GUARDED_BY(mutex);
-    ShardStats stats PF_GUARDED_BY(mutex);
+    uint64_t inserts PF_GUARDED_BY(mutex) = 0;
+    uint64_t insert_failures PF_GUARDED_BY(mutex) = 0;
+    // Probe counters, added to under the shared lock or none.  Hits and
+    // misses rather than queries and hits, so a scalar probe pays one add;
+    // ShardStats::queries is their (modular) sum, which round-trips any
+    // snapshot's queries field exactly.
+    std::atomic<uint64_t> hits{0};
+    std::atomic<uint64_t> misses{0};
   };
+
+  // One shard's counters; the caller holds its lock (shared suffices).
+  static ShardStats StatsLocked(const Shard& shard)
+      PF_REQUIRES_SHARED(shard.mutex);
 
   uint64_t capacity_;
   ShardedFilterOptions options_;

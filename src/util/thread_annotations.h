@@ -18,9 +18,10 @@
 #ifndef PREFIXFILTER_SRC_UTIL_THREAD_ANNOTATIONS_H_
 #define PREFIXFILTER_SRC_UTIL_THREAD_ANNOTATIONS_H_
 
+#include <atomic>
 #include <condition_variable>
+#include <cstdint>
 #include <mutex>
-#include <shared_mutex>
 
 #if defined(__clang__) && (!defined(SWIG))
 #define PF_THREAD_ANNOTATION_ATTRIBUTE__(x) __attribute__((x))
@@ -100,21 +101,74 @@ class PF_CAPABILITY("mutex") Mutex {
   std::mutex mu_;
 };
 
-// std::shared_mutex with the capability attribute: exclusive writers via
-// WriterMutexLock, shared readers via ReaderMutexLock.
+// Reader-writer lock with the capability attribute: exclusive writers via
+// WriterMutexLock, shared readers via ReaderMutexLock.  A reader costs one
+// atomic add to take it and one to drop it, the same two RMWs as a Mutex
+// (std::shared_mutex, i.e. pthread_rwlock, costs about three times that;
+// the sharded filter's scalar probe takes one per key).  Writers are
+// preferred: a writer claims kWriter, which turns new readers away, then
+// waits for the readers already inside to leave, so a stream of readers
+// cannot starve it.  Waits sleep in std::atomic::wait (a futex on Linux);
+// the fast paths never notify.
 class PF_CAPABILITY("shared_mutex") SharedMutex {
  public:
   SharedMutex() = default;
   SharedMutex(const SharedMutex&) = delete;
   SharedMutex& operator=(const SharedMutex&) = delete;
 
-  void lock() PF_ACQUIRE() { mu_.lock(); }
-  void unlock() PF_RELEASE() { mu_.unlock(); }
-  void lock_shared() PF_ACQUIRE_SHARED() { mu_.lock_shared(); }
-  void unlock_shared() PF_RELEASE_SHARED() { mu_.unlock_shared(); }
+  void lock() PF_ACQUIRE() {
+    uint32_t s = state_.load(std::memory_order_relaxed);
+    for (;;) {  // one writer at a time
+      if ((s & kWriter) != 0) {
+        state_.wait(s, std::memory_order_relaxed);
+        s = state_.load(std::memory_order_relaxed);
+      } else if (state_.compare_exchange_weak(s, s | kWriter,
+                                              std::memory_order_acquire,
+                                              std::memory_order_relaxed)) {
+        break;
+      }
+    }
+    // Drain the readers inside; the last one out notifies.
+    while ((s = state_.load(std::memory_order_acquire)) != kWriter) {
+      state_.wait(s, std::memory_order_acquire);
+    }
+  }
+  void unlock() PF_RELEASE() {
+    state_.fetch_and(~kWriter, std::memory_order_release);
+    state_.notify_all();
+  }
+
+  void lock_shared() PF_ACQUIRE_SHARED() {
+    if ((state_.fetch_add(1, std::memory_order_acquire) & kWriter) != 0) {
+      WaitOutWriter();
+    }
+  }
+  void unlock_shared() PF_RELEASE_SHARED() {
+    if (state_.fetch_sub(1, std::memory_order_release) == kWriter + 1) {
+      state_.notify_all();  // a draining writer waits for this
+    }
+  }
 
  private:
-  std::shared_mutex mu_;
+  static constexpr uint32_t kWriter = 1u << 31;  // low bits: readers inside
+
+  // A writer holds or is draining the lock: back out (waking it if this was
+  // the last count it waits on), sleep until it leaves, and retry.
+  void WaitOutWriter() {
+    for (;;) {
+      uint32_t s = state_.fetch_sub(1, std::memory_order_relaxed) - 1;
+      if (s == kWriter) state_.notify_all();
+      while ((s & kWriter) != 0) {
+        state_.wait(s, std::memory_order_relaxed);
+        s = state_.load(std::memory_order_relaxed);
+      }
+      if ((state_.fetch_add(1, std::memory_order_acquire) & kWriter) == 0) {
+        return;
+      }
+    }
+  }
+
+  std::atomic<uint32_t> state_{0};
 };
 
 // Scoped exclusive lock over Mutex — the annotated replacement for

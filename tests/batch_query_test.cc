@@ -43,16 +43,19 @@ TEST(BatchQuery, HandlesOddSizes) {
   const auto keys = RandomKeys(n, 203);
   PrefixFilter<SpareCf12Traits> pf(n);
   for (uint64_t k : keys) ASSERT_TRUE(pf.Insert(k));
+  // Below, at and around the 16-slot prefetch window, and a long batch.
   for (size_t count : {size_t{0}, size_t{1}, size_t{15}, size_t{16},
-                       size_t{17}, size_t{33}}) {
+                       size_t{17}, size_t{33}, size_t{4096}}) {
     std::vector<uint64_t> stream(keys.begin(),
                                  keys.begin() + static_cast<long>(count));
     std::vector<uint8_t> out(count + 1, 0xcc);
+    const uint64_t queries_before = pf.stats().queries;
     pf.ContainsBatch(stream.data(), count, out.data());
     for (size_t i = 0; i < count; ++i) {
       EXPECT_EQ(out[i], 1) << "count=" << count << " i=" << i;
     }
     EXPECT_EQ(out[count], 0xcc) << "wrote past the end";
+    EXPECT_EQ(pf.stats().queries - queries_before, count);
   }
 }
 
@@ -76,7 +79,7 @@ TEST(BatchQuery, NoFalseNegativesAtFullLoad) {
 
 // Builds a filter via the factory, inserts `n` keys, and checks batch ==
 // per-key parity on a mixed positive/negative stream for several batch
-// sizes, including sizes that straddle the 16-key prefetch chunk.
+// sizes, including sizes that straddle the 16-slot prefetch window.
 void CheckAnyFilterBatchParity(const std::string& name, uint64_t n,
                                uint64_t seed) {
   auto filter = MakeFilter(name, n, seed);
@@ -91,7 +94,8 @@ void CheckAnyFilterBatchParity(const std::string& name, uint64_t n,
   for (size_t i = 0; i < stream.size(); ++i) {
     scalar[i] = filter->Contains(stream[i]);
   }
-  for (size_t batch : {size_t{1}, size_t{7}, size_t{64}, stream.size()}) {
+  for (size_t batch : {size_t{1}, size_t{15}, size_t{16}, size_t{17},
+                       size_t{33}, size_t{4096}, stream.size()}) {
     std::vector<uint8_t> out(stream.size(), 0xaa);
     for (size_t base = 0; base < stream.size(); base += batch) {
       const size_t count = std::min(batch, stream.size() - base);
@@ -119,7 +123,7 @@ TEST(AnyFilterBatch, ScalarFallbackBackendsMatchScalar) {
   }
 }
 
-// Overfills a tiny filter (9 prefix-filter bins, so every 16-key chunk has
+// Overfills a tiny filter (9 prefix-filter bins, so every 16-key window has
 // keys sharing a bin, and the spare fails partway through the stream) and
 // feeds the same keys to InsertBatch in slices of `batch`: the failure count
 // and the snapshot image must equal a scalar Insert loop's byte for byte.
@@ -155,10 +159,11 @@ void CheckInsertBatchParity(const char* name, size_t batch) {
 
 TEST(AnyFilterBatch, InsertBatchCountsFailuresLikeScalarLoop) {
   // The PF names take the prefetching PrefixFilter::InsertBatch; CF-8 the
-  // adapter's scalar fallback.  Sizes 1/7/16/17/4096 cover chunk tails.
+  // adapter's scalar fallback.  Sizes 1/15/16/17/33/4096 sit below, at and
+  // around the prefetch window, and past it.
   for (const char* name : {"PF[TC]", "PF[CF12-Flex]", "PF[BBF-Flex]", "CF-8"}) {
-    for (size_t batch : {size_t{1}, size_t{7}, size_t{16}, size_t{17},
-                         size_t{4096}}) {
+    for (size_t batch : {size_t{1}, size_t{15}, size_t{16}, size_t{17},
+                         size_t{33}, size_t{4096}}) {
       CheckInsertBatchParity(name, batch);
     }
   }

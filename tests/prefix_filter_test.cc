@@ -194,6 +194,92 @@ TYPED_TEST(PrefixFilterTypedTest, InsertBatchMatchesScalarWithDuplicateAvoidance
   }
 }
 
+// The batch paths run a rolling 16-slot prefetch window; batch sizes below,
+// at and around it (and a long one that rolls it thousands of times) must
+// leave exactly what the scalar loops leave: the same image, the same
+// answers, and the same exact counters, queries and spare visits included.
+TYPED_TEST(PrefixFilterTypedTest, BatchWindowMatchesScalarLoopsExactly) {
+  const uint64_t n = 20000;
+  const auto keys = RandomKeys(n, 125);
+  std::vector<uint64_t> stream = RandomKeys(n, 126);
+  for (size_t i = 0; i < stream.size(); i += 2) stream[i] = keys[(7 * i) % n];
+
+  PrefixFilter<TypeParam> scalar(n);
+  for (uint64_t k : keys) ASSERT_TRUE(scalar.Insert(k));
+  std::vector<uint8_t> scalar_answers;
+  for (uint64_t k : stream) scalar_answers.push_back(scalar.Contains(k));
+  std::vector<uint8_t> scalar_image;
+  scalar.SerializeTo(&scalar_image);
+  const PrefixFilterStats expected = scalar.stats();
+  ASSERT_EQ(expected.queries, stream.size());
+  ASSERT_GT(expected.spare_queries, 0u) << "stream never reached the spare";
+  ASSERT_GT(expected.evictions, 0u);
+
+  for (size_t batch : {size_t{1}, size_t{15}, size_t{16}, size_t{17},
+                       size_t{33}, size_t{4096}}) {
+    SCOPED_TRACE(batch);
+    PrefixFilter<TypeParam> batched(n);
+    uint64_t failures = 0;
+    for (size_t base = 0; base < keys.size(); base += batch) {
+      failures += batched.InsertBatch(keys.data() + base,
+                                      std::min(batch, keys.size() - base));
+    }
+    EXPECT_EQ(failures, 0u);
+    std::vector<uint8_t> image;
+    batched.SerializeTo(&image);
+    EXPECT_TRUE(image == scalar_image) << "images differ";
+
+    std::vector<uint8_t> answers(stream.size(), 0xcc);
+    for (size_t base = 0; base < stream.size(); base += batch) {
+      batched.ContainsBatch(stream.data() + base,
+                            std::min(batch, stream.size() - base),
+                            answers.data() + base);
+    }
+    EXPECT_TRUE(answers == scalar_answers) << "answers differ";
+    const PrefixFilterStats stats = batched.stats();
+    EXPECT_EQ(stats.inserts, expected.inserts);
+    EXPECT_EQ(stats.spare_inserts, expected.spare_inserts);
+    EXPECT_EQ(stats.evictions, expected.evictions);
+    EXPECT_EQ(stats.queries, expected.queries);
+    EXPECT_EQ(stats.spare_queries, expected.spare_queries);
+  }
+}
+
+// Query counters survive a move (the filter stays movable with atomic
+// counters inside) and reset independently of the insert counters.
+TEST(PrefixFilter, QueryCountersMoveAndReset) {
+  const uint64_t n = 4096;
+  const auto keys = RandomKeys(n, 127);
+  PrefixFilter<SpareTcTraits> pf(n);
+  for (uint64_t k : keys) ASSERT_TRUE(pf.Insert(k));
+  std::vector<uint8_t> out(n);
+  pf.ContainsBatch(keys.data(), n, out.data());
+  EXPECT_TRUE(pf.Contains(keys[0]));
+  const uint64_t spare_queries = pf.stats().spare_queries;
+  PrefixFilter<SpareTcTraits> moved = std::move(pf);
+  EXPECT_EQ(moved.stats().queries, n + 1);
+  EXPECT_EQ(moved.stats().spare_queries, spare_queries);
+  moved.ResetQueryStats();
+  EXPECT_EQ(moved.stats().queries, 0u);
+  EXPECT_EQ(moved.stats().spare_queries, 0u);
+  EXPECT_EQ(moved.stats().inserts, n);
+}
+
+// The factory adapter's scalar probe: same answers as Contains, and the
+// counters see only the counted probes.
+TEST(PrefixFilter, ContainsUncountedAnswersLikeContainsWithoutCounting) {
+  const uint64_t n = 4096;
+  const auto keys = RandomKeys(n, 128);
+  PrefixFilter<SpareTcTraits> pf(n);
+  for (uint64_t k : keys) ASSERT_TRUE(pf.Insert(k));
+  std::vector<uint64_t> probes = RandomKeys(n, 129);
+  probes.insert(probes.end(), keys.begin(), keys.end());
+  for (uint64_t k : probes) {
+    ASSERT_EQ(pf.ContainsUncounted(k), pf.Contains(k)) << k;
+  }
+  EXPECT_EQ(pf.stats().queries, probes.size());
+}
+
 TEST(PrefixFilter, Alpha100StillWorks) {
   PrefixFilterOptions options;
   options.bin_load_factor = 1.0;

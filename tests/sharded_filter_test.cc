@@ -3,6 +3,7 @@
 // snapshot round-trips.
 #include "src/service/sharded_filter.h"
 
+#include <algorithm>
 #include <atomic>
 #include <cmath>
 #include <thread>
@@ -12,6 +13,7 @@
 
 #include "src/service/batch_router.h"
 #include "src/util/random.h"
+#include "src/util/thread_annotations.h"
 
 namespace prefixfilter {
 namespace {
@@ -162,6 +164,137 @@ TEST(ShardedFilter, ConcurrentMixedTrafficIsSafe) {
   for (uint64_t k : keys) ASSERT_TRUE(filter->Contains(k));
 }
 
+// Queries take the shard lock shared: four readers probe one SHARD1 filter
+// (batches and scalar probes, so every probe meets the others on the same
+// lock) while a fifth thread inserts fresh keys.  Every key acknowledged
+// before the readers start must be found, and the shard's probe counters
+// must equal the probes and hits the readers made, exactly.
+TEST(ShardedFilter, SharedReadersDuringInsertsKeepAckedKeysAndExactCounts) {
+  const uint64_t n = 100000;
+  auto filter = ShardedFilter::Make(
+      n, ShardedFilterOptions{/*num_shards=*/1, "PF[TC]", 211});
+  ASSERT_NE(filter, nullptr);
+  const auto keys = RandomKeys(n, 212);
+  const uint64_t acked = n / 2;
+  ASSERT_EQ(filter->InsertBatch(keys.data(), acked), 0u);
+  const ShardStats before = filter->TotalStats();
+
+  constexpr int kReaders = 4;
+  constexpr int kRounds = 64;
+  constexpr size_t kBatch = 256;
+  std::atomic<uint64_t> probes{0};
+  std::atomic<uint64_t> hits{0};
+  std::atomic<uint64_t> false_negatives{0};
+  std::atomic<bool> writer_done{false};
+  std::vector<std::thread> readers;
+  for (int t = 0; t < kReaders; ++t) {
+    readers.emplace_back([&, t]() {
+      Xoshiro256 rng(213 + t);
+      std::vector<uint64_t> batch(kBatch);
+      std::vector<uint8_t> out(kBatch);
+      uint64_t local_probes = 0;
+      uint64_t local_hits = 0;
+      // At least kRounds, and on until the writer is through.
+      for (int round = 0; round < kRounds || !writer_done.load(); ++round) {
+        // Even slots: acknowledged keys; odd slots: anything (fresh keys
+        // racing the writer, or never-inserted ones).
+        for (size_t i = 0; i < kBatch; ++i) {
+          batch[i] = i % 2 == 0 ? keys[rng.Below(acked)] : keys[rng.Below(n)];
+        }
+        filter->ContainsBatch(batch.data(), kBatch, out.data());
+        for (size_t i = 0; i < kBatch; ++i) {
+          local_hits += out[i];
+          if (i % 2 == 0 && out[i] == 0) false_negatives.fetch_add(1);
+        }
+        const bool hit = filter->Contains(batch[round % kBatch]);
+        local_hits += hit;
+        if (round % 2 == 0 && !hit) false_negatives.fetch_add(1);
+        local_probes += kBatch + 1;
+      }
+      probes.fetch_add(local_probes);
+      hits.fetch_add(local_hits);
+    });
+  }
+  std::thread writer([&]() {
+    for (uint64_t base = acked; base < n; base += 512) {
+      filter->InsertBatch(keys.data() + base, std::min<uint64_t>(512, n - base));
+    }
+    writer_done.store(true);
+  });
+  writer.join();
+  for (auto& r : readers) r.join();
+
+  EXPECT_EQ(false_negatives.load(), 0u);
+  const ShardStats after = filter->TotalStats();
+  EXPECT_EQ(after.queries - before.queries, probes.load());
+  EXPECT_EQ(after.hits - before.hits, hits.load());
+  EXPECT_EQ(after.inserts, n);
+  EXPECT_EQ(after.insert_failures, 0u);
+  for (uint64_t k : keys) ASSERT_TRUE(filter->Contains(k));
+}
+
+// The shard lock itself.  Two readers hold it at once: each waits, inside
+// its shared section, until the other is inside too (an exclusive lock would
+// deadlock here).
+TEST(SharedMutex, ReadersHoldItTogether) {
+  SharedMutex mu;
+  std::atomic<int> inside{0};
+  auto reader = [&]() {
+    ReaderMutexLock guard(mu);
+    inside.fetch_add(1);
+    while (inside.load() < 2) std::this_thread::yield();
+  };
+  std::thread a(reader);
+  std::thread b(reader);
+  a.join();
+  b.join();
+  EXPECT_EQ(inside.load(), 2);
+}
+
+// Readers that keep arriving do not starve a writer, and no reader sees a
+// half-done write.
+TEST(SharedMutex, WriterGetsInPastStreamingReaders) {
+  struct Guarded {
+    SharedMutex mu;
+    uint64_t a PF_GUARDED_BY(mu) = 0;
+    uint64_t b PF_GUARDED_BY(mu) = 0;
+  } g;
+  constexpr uint64_t kWrites = 2000;
+  std::atomic<bool> writer_done{false};
+  std::atomic<uint64_t> torn{0};
+  std::atomic<uint64_t> reads{0};
+  std::atomic<int> reading{0};
+  constexpr int kReaders = 4;
+  std::vector<std::thread> readers;
+  for (int t = 0; t < kReaders; ++t) {
+    readers.emplace_back([&]() {
+      uint64_t local = 0;
+      do {
+        {
+          ReaderMutexLock guard(g.mu);
+          if (g.a != g.b) torn.fetch_add(1);
+        }
+        if (local++ == 0) reading.fetch_add(1);
+      } while (!writer_done.load());
+      reads.fetch_add(local);
+    });
+  }
+  // Every reader is streaming before the first write.
+  while (reading.load() < kReaders) std::this_thread::yield();
+  for (uint64_t i = 0; i < kWrites; ++i) {
+    WriterMutexLock guard(g.mu);
+    ++g.a;
+    ++g.b;
+  }
+  writer_done.store(true);
+  for (auto& r : readers) r.join();
+  WriterMutexLock guard(g.mu);
+  EXPECT_EQ(g.a, kWrites);
+  EXPECT_EQ(g.b, kWrites);
+  EXPECT_EQ(torn.load(), 0u);
+  EXPECT_GE(reads.load(), static_cast<uint64_t>(kReaders));
+}
+
 TEST(ShardedFilter, SnapshotRoundTripsThroughTypeErasedLayer) {
   const uint64_t n = 50000;
   auto filter = MakeFilter("SHARD4[PF[BBF-Flex]]", n, 182);
@@ -191,6 +324,27 @@ TEST(ShardedFilter, SnapshotRoundTripsThroughTypeErasedLayer) {
   for (uint32_t s = 0; s < original->num_shards(); ++s) {
     EXPECT_EQ(loaded->shard_stats(s).inserts, original->shard_stats(s).inserts);
   }
+
+  // Probe counters are kept as hits and misses; the snapshot's queries/hits
+  // fields still round-trip, and a restored filter re-serializes to the
+  // same bytes.
+  std::vector<uint8_t> probed_bytes;
+  ASSERT_TRUE(original->SerializeTo(&probed_bytes));
+  auto reloaded = DeserializeFilter(probed_bytes.data(), probed_bytes.size());
+  ASSERT_NE(reloaded, nullptr);
+  auto* reloaded_sharded = dynamic_cast<ShardedFilter*>(reloaded.get());
+  ASSERT_NE(reloaded_sharded, nullptr);
+  EXPECT_GT(original->TotalStats().queries, 0u);
+  EXPECT_GT(original->TotalStats().hits, 0u);
+  for (uint32_t s = 0; s < original->num_shards(); ++s) {
+    EXPECT_EQ(reloaded_sharded->shard_stats(s).queries,
+              original->shard_stats(s).queries);
+    EXPECT_EQ(reloaded_sharded->shard_stats(s).hits,
+              original->shard_stats(s).hits);
+  }
+  std::vector<uint8_t> reserialized;
+  ASSERT_TRUE(reloaded->SerializeTo(&reserialized));
+  EXPECT_TRUE(reserialized == probed_bytes) << "snapshot bytes changed";
 
   // Corruptions in the sharded header fail cleanly.
   auto corrupt = bytes;

@@ -34,6 +34,15 @@ steady-clock
     shutdown deadline that must work with observability compiled out) carry
     an inline suppression.
 
+const-probe
+    Under src/core, src/filters and src/pd, a `mutable` member must be an
+    atomic or a lock type.  Filter probes are const and run concurrently
+    under a shared shard lock, so a mutable counter or cache written by a
+    probe is a data race; relaxed atomics (added once per batch) are the
+    race-free way to count from a const path.  A reviewed exception carries
+    `// pf-lint: allow(const-probe) <justification>`: the allow alone, with
+    no reason after it, does not count.
+
 Suppressions: append `// pf-lint: allow(<rule>)` to the offending line or
 the line directly above it.  Each suppression documents a reviewed
 exception; pf_lint_test.py pins that every rule still fires on fixtures.
@@ -49,7 +58,11 @@ ALL_RULES = (
     "wire-bounds-check",
     "parser-reinterpret-cast",
     "steady-clock",
+    "const-probe",
 )
+
+# Directories whose filters must keep their probes const (const-probe).
+CONST_PROBE_DIRS = ("src/core", "src/filters", "src/pd")
 
 # Files that parse untrusted bytes (wire frames, snapshots, stats blobs,
 # JSON).  Keep in sync with the fuzz targets in fuzz/.
@@ -106,6 +119,21 @@ FUNC_NAME_RE = re.compile(r"\b((?:[A-Za-z_][A-Za-z0-9_]*::)*[A-Za-z_][A-Za-z0-9_
 STEADY_CLOCK_RE = re.compile(r"\b(?:steady_clock|high_resolution_clock)\b")
 
 REINTERPRET_RE = re.compile(r"\breinterpret_cast\s*<")
+
+MUTABLE_RE = re.compile(r"\bmutable\b")
+LAMBDA_MUTABLE_RE = re.compile(r"[)\]]\s*mutable\b")
+
+# Member types a const probe may write: atomics and locks, optionally
+# namespace-qualified, as the outermost type.
+CONST_PROBE_OK_TYPE_RE = re.compile(
+    r"^\s*(?:[A-Za-z_]\w*::)*"
+    r"(?:atomic\s*<|atomic_\w+\b|Mutex\b|SharedMutex\b|SpinLock\b"
+    r"|mutex\b|shared_mutex\b|recursive_mutex\b|CondVar\b"
+    r"|condition_variable(?:_any)?\b)"
+)
+
+CONST_PROBE_JUSTIFIED_RE = re.compile(
+    r"//\s*pf-lint:\s*allow\(const-probe\)\s*\S")
 
 
 class Violation:
@@ -259,6 +287,37 @@ def check_steady_clock(root, violations):
                                   "with a justification)"))
 
 
+def check_const_probe(root, violations):
+    for rel_dir in CONST_PROBE_DIRS:
+        base = root / rel_dir
+        if not base.is_dir():
+            continue
+        for path in sorted(base.rglob("*")):
+            if path.suffix not in (".h", ".cc"):
+                continue
+            rel = path.relative_to(root).as_posix()
+            lines = path.read_text().splitlines()
+            for i, raw in enumerate(lines):
+                code = strip_line_comment(raw)
+                m = MUTABLE_RE.search(code)
+                if not m:
+                    continue
+                if LAMBDA_MUTABLE_RE.search(code):
+                    continue  # a mutable lambda, not a member
+                if CONST_PROBE_OK_TYPE_RE.match(code[m.end():]):
+                    continue
+                if any(0 <= probe < len(lines) and
+                       CONST_PROBE_JUSTIFIED_RE.search(lines[probe])
+                       for probe in (i, i - 1)):
+                    continue
+                violations.append(
+                    Violation(rel, i + 1, "const-probe",
+                              "mutable member that is neither an atomic nor "
+                              "a lock: a const probe writing it races under "
+                              "a shared lock (use a relaxed atomic, or "
+                              "justify with allow(const-probe) <reason>)"))
+
+
 def run(root, rules):
     violations = []
     if "obs-compile-out" in rules:
@@ -271,6 +330,8 @@ def run(root, rules):
                 v for v in file_violations if v.rule in rules)
     if "steady-clock" in rules:
         check_steady_clock(root, violations)
+    if "const-probe" in rules:
+        check_const_probe(root, violations)
     return violations
 
 

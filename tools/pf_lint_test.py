@@ -123,6 +123,30 @@ class PfLintTest(unittest.TestCase):
         self.repo.add("src/service/worker.cc", "clock_comment_only.cc")
         self.assertEqual(self.run_rules(("steady-clock",)), [])
 
+    # --- const-probe --------------------------------------------------------
+
+    def test_const_probe_fires_on_plain_mutable_members(self):
+        self.repo.add("src/core/bad_filter.h", "const_probe_bad.h")
+        violations = self.run_rules(("const-probe",))
+        self.assertEqual(self.rules_hit(violations), ["const-probe"])
+        # The stats struct, the pointer-to-locks and the unjustified allow.
+        self.assertEqual(sorted(v.line for v in violations), [17, 19, 21])
+
+    def test_const_probe_covers_filters_and_pd(self):
+        self.repo.add("src/filters/bad_filter.h", "const_probe_bad.h")
+        self.repo.add("src/pd/bad_pd.h", "const_probe_bad.h")
+        violations = self.run_rules(("const-probe",))
+        self.assertEqual(len(violations), 6)
+
+    def test_const_probe_quiet_on_atomics_locks_lambdas_and_allows(self):
+        self.repo.add("src/core/good_filter.h", "const_probe_good.h")
+        self.assertEqual(self.run_rules(("const-probe",)), [])
+
+    def test_const_probe_ignores_other_directories(self):
+        # Service and net code keep their own mutable state under locks.
+        self.repo.add("src/service/bad_filter.h", "const_probe_bad.h")
+        self.assertEqual(self.run_rules(("const-probe",)), [])
+
     # --- suppressions & plumbing --------------------------------------------
 
     def test_suppression_only_matches_its_rule(self):
